@@ -5,7 +5,7 @@ from .tensor import ParamSet, ShapeError, Tensor, conv2d, cross_entropy, dense, 
 from .moe import (
     GroupStats,
     MoEConvLayer,
-    RoutingRecord,
+    RoutingBatch,
     moe_forward,
     route_scores,
     select_expert,

@@ -72,7 +72,7 @@ def cmd_eval(args):
         base_model, base_stats, _, _, _ = load_checkpoint(args.baseline)
         _, baseline_report, _ = evaluate(base_model, samples, base_stats, mode=args.mode)
         baseline_name = str(args.baseline)
-    log, report, records = evaluate(
+    log, report, batches = evaluate(
         model, samples, stats, mode=args.mode,
         baseline_report=baseline_report, baseline_name=baseline_name,
     )
@@ -80,7 +80,8 @@ def cmd_eval(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json())
     log.write_csv(out_dir / "predictions.csv")
-    write_routing_csv(records, out_dir / "routing.csv") if records else None
+    if batches:
+        write_routing_csv(batches, out_dir / "routing.csv")
     print(report.to_json())
 
 
@@ -107,7 +108,8 @@ def cmd_ablate(args):
 def cmd_route_report(args):
     model, stats, _, _, _ = load_checkpoint(args.checkpoint)
     samples, _ = _load_dataset(args.data)
-    train_samples, test_samples = data_mod.split(samples, 0.8, 0)
+    doc = _read_config(args.config) if args.config else {}
+    train_samples, test_samples = _split_from_config(samples, doc)
     rows = router_depth_report(
         model, test_samples, train_samples, stats, score_kind=args.score_kind
     )
@@ -153,6 +155,7 @@ def main(argv=None):
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--score-kind", choices=["softmax", "balanced"], default="softmax")
+    p.add_argument("--config", default=None, help="JSON config whose split to use")
     p.set_defaults(fn=cmd_route_report)
 
     args = parser.parse_args(argv)

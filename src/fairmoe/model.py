@@ -90,25 +90,28 @@ class Model:
         return tuple(i for i, l in enumerate(self.layers) if isinstance(l, MoEConvLayer))
 
     def forward(self, x, stats=None, mode="argmax", rng=None, sample_ids=None, groups=None):
-        """Returns (logits, records, probs-by-layer) for a batch tensor."""
+        """Returns (logits, routing batches, probs-by-layer) for a batch tensor.
+
+        The routing batches are one ``RoutingBatch`` per MoE layer, in layer order.
+        """
         if not isinstance(x, Tensor):
             x = Tensor(x)
-        records, probs_by_layer = [], {}
+        batches, probs_by_layer = [], {}
         for layer in self.layers:
             if isinstance(layer, MoEConvLayer):
                 if stats is None:
                     raise ValueError("MoE layers need group stats to route")
-                x, recs, probs = moe_forward(
+                x, batch, probs = moe_forward(
                     x, layer, stats, mode, rng=rng, sample_ids=sample_ids, groups=groups
                 )
-                records.extend(recs)
+                batches.append(batch)
                 probs_by_layer[layer.layer_index] = probs
             else:
                 x = conv2d(x, layer.kernel, layer.bias, stride=layer.stride, padding=layer.padding)
             x = x.relu()
         feats = global_avg_pool(x)
         logits = dense(feats, self.head_w, self.head_b)
-        return logits, records, probs_by_layer
+        return logits, batches, probs_by_layer
 
 
 def _he_conv(rng, cout, cin, k):
@@ -188,18 +191,37 @@ def save_checkpoint(path, model, stats, step, rng_state, train_config=None):
 
 
 def load_checkpoint(path):
-    """Returns (model, stats, step, rng_state, train_config)."""
+    """Returns (model, stats, step, rng_state, train_config).
+
+    Any malformed file raises ``CheckpointFormatError``.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != CKPT_MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 10:
+        raise CheckpointFormatError(f"{path}: {len(raw)}-byte file cut inside the 10-byte header")
     (version,) = struct.unpack_from("<H", raw, 4)
     if version != CKPT_VERSION:
         raise CheckpointFormatError(f"{path}: unsupported version {version}")
     (meta_len,) = struct.unpack_from("<I", raw, 6)
-    meta = json.loads(raw[10 : 10 + meta_len].decode())
-    model = build_model(ModelConfig.from_dict(meta["model_config"]), seed=0)
-    if model.params.paths() != meta["param_order"]:
+    if 10 + meta_len > len(raw):
+        raise CheckpointFormatError(
+            f"{path}: truncated: {meta_len}-byte metadata overruns the {len(raw)}-byte file"
+        )
+    try:
+        meta = json.loads(raw[10 : 10 + meta_len].decode())
+        model = build_model(ModelConfig.from_dict(meta["model_config"]), seed=0)
+        stats = GroupStats(np.asarray(meta["group_sizes"], dtype=np.float64))
+        param_order, step, rng_state = meta["param_order"], meta["step"], meta["rng_state"]
+        train_config = meta.get("train_config")
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError, ArithmeticError) as exc:
+        raise CheckpointFormatError(f"{path}: bad metadata: {exc!r}") from exc
+    if model.params.paths() != param_order:
         raise CheckpointFormatError(f"{path}: parameter order mismatch")
+    if model.moe_layer_indices and model.config.m != stats.m:
+        raise CheckpointFormatError(
+            f"{path}: {model.config.m} experts per MoE layer but {stats.m} group sizes"
+        )
     offset = 10 + meta_len
     for p, t in model.params.items():
         n = t.data.size
@@ -209,5 +231,4 @@ def load_checkpoint(path):
         offset += 8 * n
     if offset != len(raw):
         raise CheckpointFormatError(f"{path}: {len(raw) - offset} trailing bytes")
-    stats = GroupStats(np.asarray(meta["group_sizes"]))
-    return model, stats, meta["step"], meta["rng_state"], meta.get("train_config")
+    return model, stats, step, rng_state, train_config

@@ -4,7 +4,10 @@ Each layer carries m expert convolutions (one per demographic group) and a
 small router: 1x1 conv -> relu -> global average pool -> dense -> softmax.
 Routing is hard-forward: exactly one expert runs per sample, chosen from
 selection probabilities that reweight the router's confidence scores by
-inverse group size.
+inverse group size.  The expert is sampled from those probabilities
+(``sample``), taken as their argmax (``argmax``), or set to the sample's
+true group with the router bypassed (``group``).  Each layer's decisions
+for a batch come back as one columnar ``RoutingBatch``.
 """
 
 from __future__ import annotations
@@ -44,24 +47,39 @@ class GroupStats:
         return cls(counts)
 
 
-@dataclass
-class RoutingRecord:
-    """One routing decision: raw router scores, balanced probabilities, choice."""
+ROUTING_MODES = ("sample", "argmax", "group")
 
-    sample_id: int
+
+@dataclass(frozen=True, eq=False)
+class RoutingBatch:
+    """One layer's routing decisions for a batch, one row per sample.
+
+    ``sample_ids``, ``chosen`` are (N,) integer arrays; ``scores`` (raw
+    router scores) and ``probabilities`` (balanced selection
+    probabilities) are (N, m).  Ranges and simplex sums are checked once
+    for the whole batch.
+    """
+
+    sample_ids: np.ndarray
     layer_index: int
     mode: str
-    chosen_expert: int
+    chosen: np.ndarray
     scores: np.ndarray
     probabilities: np.ndarray
 
     def __post_init__(self):
-        m = len(self.scores)
-        if not (0 <= self.chosen_expert < m):
-            raise ValueError(f"chosen expert {self.chosen_expert} out of range [0, {m})")
-        for name, vec in (("scores", self.scores), ("probabilities", self.probabilities)):
-            if abs(vec.sum() - 1.0) > 1e-9:
-                raise ValueError(f"{name} must sum to 1, got {vec.sum()!r}")
+        m = self.scores.shape[1]
+        bad = np.flatnonzero((self.chosen < 0) | (self.chosen >= m))
+        if bad.size:
+            raise ValueError(f"chosen expert {self.chosen[bad[0]]} out of range [0, {m})")
+        for name, mat in (("scores", self.scores), ("probabilities", self.probabilities)):
+            err = np.abs(mat.sum(axis=1) - 1.0)
+            if err.size and err.max() > 1e-9:
+                row = int(np.argmax(err))
+                raise ValueError(f"{name} must sum to 1, got {mat[row].sum()!r} in row {row}")
+
+    def __len__(self):
+        return len(self.chosen)
 
 
 class MoEConvLayer:
@@ -121,29 +139,41 @@ def selection_probabilities(scores, stats):
 
 
 def select_expert(probabilities, mode, rng=None):
-    """Pick an expert index: sample from the simplex, or argmax (low-index ties)."""
+    """Expert indices for (..., m) probability rows: sampled, or argmax (low-index ties).
+
+    Sampling draws one ``rng.random`` per row and inverts each row's CDF
+    with the arithmetic of ``Generator.choice``, so it returns, and leaves
+    ``rng`` in, exactly what one ``rng.choice(m, p=row / row.sum())`` per
+    row would.  The result has shape ``probabilities.shape[:-1]``.
+    """
     p = np.asarray(probabilities, dtype=np.float64)
     if mode == "argmax":
-        return int(np.argmax(p))
-    if mode == "sample":
+        chosen = np.argmax(p, axis=-1)
+    elif mode == "sample":
         if rng is None:
             raise ValueError("sample mode needs a random generator")
-        return int(rng.choice(len(p), p=p / p.sum()))
-    raise ValueError(f"unknown routing mode {mode!r}")
+        total = p.sum(axis=-1, keepdims=True)
+        if not np.all(np.isfinite(p)) or np.any(p < 0) or np.any(total <= 0):
+            raise ValueError("probabilities must be finite, nonnegative and not all zero")
+        cdf = np.cumsum(p / total, axis=-1)
+        cdf /= cdf[..., -1:]
+        u = rng.random(p.shape[:-1])
+        chosen = np.sum(cdf <= u[..., None], axis=-1)
+    else:
+        raise ValueError(f"unknown routing mode {mode!r}")
+    return np.asarray(chosen, dtype=np.intp)
 
 
 def moe_forward(x, layer, stats, mode, rng=None, sample_ids=None, groups=None):
     """Hard forward through one expert per sample.
 
-    Returns (output, records, probs) where probs is the differentiable
-    (N, m) selection-probability tensor feeding the specialization loss.
-    In ``group`` mode the router is bypassed and the expert is the true
-    group label; in ``mix`` mode outputs are blended by detached
-    probabilities (ablation only).
+    Returns (output, batch, probs): ``batch`` is the layer's
+    ``RoutingBatch`` and probs the differentiable (N, m)
+    selection-probability tensor feeding the specialization loss.  In
+    ``group`` mode the router is bypassed and the expert is the true group
+    label.
     """
     n = x.data.shape[0]
-    if sample_ids is None:
-        sample_ids = list(range(n))
     scores = route_scores(x, layer)
     probs = selection_probabilities(scores, stats)
 
@@ -151,38 +181,24 @@ def moe_forward(x, layer, stats, mode, rng=None, sample_ids=None, groups=None):
         if groups is None:
             raise ValueError("group mode needs per-sample group labels")
         chosen = np.asarray(groups, dtype=np.intp)
-    elif mode == "mix":
-        chosen = np.argmax(probs.data, axis=1)
     else:
-        chosen = np.array(
-            [select_expert(probs.data[i], mode, rng) for i in range(n)], dtype=np.intp
-        )
+        chosen = select_expert(probs.data, mode, rng)
 
-    if mode == "mix":
-        out = None
-        for k, (kern, bias) in enumerate(layer.experts):
-            yk = conv2d(x, kern, bias, stride=layer.stride, padding=layer.padding)
-            wk = yk * Tensor(probs.data[:, k][:, None, None, None])
-            out = wk if out is None else out + wk
-    else:
-        out = None
-        for k, (kern, bias) in enumerate(layer.experts):
-            idx = np.flatnonzero(chosen == k)
-            if idx.size == 0:
-                continue
-            yk = conv2d(x.take_rows(idx), kern, bias, stride=layer.stride, padding=layer.padding)
-            part = yk.scatter_rows(idx, n)
-            out = part if out is None else out + part
+    out = None
+    for k, (kern, bias) in enumerate(layer.experts):
+        idx = np.flatnonzero(chosen == k)
+        if idx.size == 0:
+            continue
+        yk = conv2d(x.take_rows(idx), kern, bias, stride=layer.stride, padding=layer.padding)
+        part = yk.scatter_rows(idx, n)
+        out = part if out is None else out + part
 
-    records = [
-        RoutingRecord(
-            sample_id=sample_ids[i],
-            layer_index=layer.layer_index,
-            mode=mode,
-            chosen_expert=int(chosen[i]),
-            scores=scores.data[i].copy(),
-            probabilities=probs.data[i].copy(),
-        )
-        for i in range(n)
-    ]
-    return out, records, probs
+    batch = RoutingBatch(
+        sample_ids=np.arange(n) if sample_ids is None else np.asarray(sample_ids),
+        layer_index=layer.layer_index,
+        mode=mode,
+        chosen=chosen,
+        scores=scores.data,
+        probabilities=probs.data,
+    )
+    return out, batch, probs

@@ -56,17 +56,24 @@ class Tensor:
             raise ShapeError(
                 f"backward() needs a scalar loss, got shape {self.data.shape}"
             )
-        topo, seen = [], set()
-
-        def visit(node):
-            if id(node) in seen or not node.requires_grad:
-                return
-            seen.add(id(node))
-            for p in node._parents:
-                visit(p)
-            topo.append(node)
-
-        visit(self)
+        # Depth-first post-order with an explicit stack: parents before
+        # children, in the same order a recursive walk gives.  No closure
+        # refers to itself, so the graph is freed by reference counting as
+        # soon as the caller drops the loss, not at the next cyclic GC.
+        topo, seen, stack = [], set(), []
+        if self.requires_grad:
+            seen.add(id(self))
+            stack.append((self, iter(self._parents)))
+        while stack:
+            node, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen and p.requires_grad:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(node)
         # Interior grads are scratch space for this sweep; leaves accumulate.
         for node in topo:
             if node._parents or node.grad is None:

@@ -11,7 +11,7 @@ import numpy as np
 from . import data as data_mod
 from .fairness import PredictionLog, build_report
 from .model import ModelConfig, build_model, save_checkpoint
-from .moe import selection_probabilities
+from .moe import ROUTING_MODES, selection_probabilities
 from .objectives import LossConfig, estimate_joint, total_loss
 from .tensor import Tensor
 
@@ -34,6 +34,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs <= 0 or self.batch_size <= 0 or self.learning_rate <= 0:
             raise ValueError("epochs, batch size, and learning rate must be positive")
+        for name in ("routing_mode", "eval_mode"):
+            if getattr(self, name) not in ROUTING_MODES:
+                raise ValueError(
+                    f"unknown {name} {getattr(self, name)!r}; expected one of {ROUTING_MODES}"
+                )
 
     def to_dict(self):
         return dict(self.__dict__)
@@ -115,6 +120,11 @@ def train(model, samples, stats, cfg, log_path=None):
 
 def run_training(model_config, train_samples, stats, cfg, out_dir=None):
     """Build, train, and optionally persist a checkpoint + log CSV."""
+    if any(model_config.moe_flags) and model_config.m != stats.m:
+        raise ValueError(
+            f"model config has m={model_config.m} experts per MoE layer, "
+            f"but the data has {stats.m} groups"
+        )
     model = build_model(model_config, seed=cfg.seed)
     log_path = Path(out_dir) / "train_log.csv" if out_dir else None
     if out_dir:
@@ -133,23 +143,23 @@ def run_training(model_config, train_samples, stats, cfg, out_dir=None):
 
 
 def evaluate(model, samples, stats, mode="argmax", seed=0, baseline_report=None, baseline_name=None):
-    """Returns (PredictionLog, FairnessReport, routing records)."""
+    """Returns (PredictionLog, FairnessReport, routing batches)."""
     images, labels, groups, _ = data_mod.stack(samples)
     rng = np.random.default_rng(seed)
-    preds, records = [], []
+    preds, batches = [], []
     bs = 256
     for start in range(0, len(samples), bs):
         sl = slice(start, start + bs)
-        logits, recs, _ = model.forward(
+        logits, layer_batches, _ = model.forward(
             Tensor(images[sl]),
             stats,
             mode=mode,
             rng=rng,
-            sample_ids=list(range(start, min(start + bs, len(samples)))),
+            sample_ids=np.arange(start, min(start + bs, len(samples))),
             groups=groups[sl],
         )
         preds.extend(np.argmax(logits.data, axis=1))
-        records.extend(recs)
+        batches.extend(layer_batches)
     log = PredictionLog(
         sample_ids=np.arange(len(samples)),
         true_classes=labels,
@@ -163,13 +173,14 @@ def evaluate(model, samples, stats, mode="argmax", seed=0, baseline_report=None,
         baseline=baseline_report,
         baseline_name=baseline_name,
     )
-    return log, report, records
+    return log, report, batches
 
 
-def write_routing_csv(records, path):
-    if not records:
-        raise ValueError("no routing records to write")
-    m = len(records[0].scores)
+def write_routing_csv(batches, path):
+    """One row per (sample, MoE layer); scores and probabilities as plain floats."""
+    if not batches:
+        raise ValueError("no routing batches to write")
+    m = batches[0].scores.shape[1]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(
@@ -177,11 +188,12 @@ def write_routing_csv(records, path):
             + [f"s_{k}" for k in range(m)]
             + [f"p_{k}" for k in range(m)]
         )
-        for r in records:
-            w.writerow(
-                [r.sample_id, r.layer_index, r.mode, r.chosen_expert]
-                + [repr(v) for v in r.scores]
-                + [repr(v) for v in r.probabilities]
+        for b in batches:
+            columns = (b.sample_ids.tolist(), b.chosen.tolist(), b.scores.tolist(),
+                       b.probabilities.tolist())
+            w.writerows(
+                [sample_id, b.layer_index, b.mode, chosen, *scores, *probs]
+                for sample_id, chosen, scores, probs in zip(*columns)
             )
 
 
@@ -255,12 +267,9 @@ def router_depth_report(model, test_samples, train_samples, stats, score_kind="s
 
     def layer_scores(samples):
         images, _, groups, _ = data_mod.stack(samples)
-        _, records, _ = model.forward(Tensor(images), stats, mode="argmax")
-        by_layer = {}
-        for r in records:  # record order within a layer follows sample order
-            vec = r.scores if score_kind == "softmax" else r.probabilities
-            by_layer.setdefault(r.layer_index, []).append(vec)
-        return {k: np.stack(v) for k, v in by_layer.items()}, groups
+        _, batches, _ = model.forward(Tensor(images), stats, mode="argmax")
+        kind = "scores" if score_kind == "softmax" else "probabilities"
+        return {b.layer_index: getattr(b, kind) for b in batches}, groups
 
     train_scores, train_groups = layer_scores(train_samples)
     # own expert per group: argmax of P(E|C_j) estimated on training data

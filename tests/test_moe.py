@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fairmoe.model import ModelConfig, build_model
 from fairmoe.moe import (
     GroupStats,
+    RoutingBatch,
     moe_forward,
     route_scores,
     select_expert,
@@ -142,10 +143,11 @@ def test_moe_forward_chosen_expert_matches_per_expert_oracle(layer):
     stats = GroupStats(np.array([30.0, 70.0]))
     x = Tensor(rng.uniform(size=(2, 1, 16, 16)))
     for forced in (0, 1):
-        out, recs, _ = moe_forward(x, layer, stats, "group", groups=[forced, forced])
+        out, batch, _ = moe_forward(x, layer, stats, "group", groups=[forced, forced])
         ref = conv2d(x, *layer.experts[forced], stride=layer.stride, padding=layer.padding)
         np.testing.assert_array_equal(out.data, ref.data)
-        assert all(r.chosen_expert == forced for r in recs)
+        assert len(batch) == 2
+        np.testing.assert_array_equal(batch.chosen, [forced, forced])
 
 
 def test_moe_forward_record_matches_executed_expert(layer):
@@ -153,10 +155,11 @@ def test_moe_forward_record_matches_executed_expert(layer):
     layer.experts[1][0].data += rng.normal(size=layer.experts[1][0].shape)
     stats = GroupStats(np.array([30.0, 70.0]))
     x = Tensor(rng.uniform(size=(10, 1, 16, 16)))
-    out, recs, _ = moe_forward(x, layer, stats, "sample", rng=np.random.default_rng(1))
-    for i, rec in enumerate(recs):
+    out, batch, _ = moe_forward(x, layer, stats, "sample", rng=np.random.default_rng(1))
+    assert len(batch) == 10
+    for i, chosen in enumerate(batch.chosen.tolist()):
         ref = conv2d(
-            x.take_rows([i]), *layer.experts[rec.chosen_expert],
+            x.take_rows([i]), *layer.experts[chosen],
             stride=layer.stride, padding=layer.padding,
         )
         np.testing.assert_allclose(out.data[i], ref.data[0], atol=1e-12)
@@ -167,9 +170,51 @@ def test_single_layer_record_reproducible_in_isolation(moe_model):
     layer = moe_model.layers[0]
     stats = GroupStats(np.array([30.0, 70.0]))
     x = Tensor(np.random.default_rng(8).uniform(size=(5, 1, 16, 16)))
-    _, recs1, _ = moe_forward(x, layer, stats, "sample", rng=np.random.default_rng(3))
-    _, recs2, _ = moe_forward(x, layer, stats, "sample", rng=np.random.default_rng(3))
-    assert [r.chosen_expert for r in recs1] == [r.chosen_expert for r in recs2]
-    for a, b in zip(recs1, recs2):
-        assert a.scores.tobytes() == b.scores.tobytes()
-        assert a.probabilities.tobytes() == b.probabilities.tobytes()
+    _, b1, _ = moe_forward(x, layer, stats, "sample", rng=np.random.default_rng(3))
+    _, b2, _ = moe_forward(x, layer, stats, "sample", rng=np.random.default_rng(3))
+    assert b1.chosen.tolist() == b2.chosen.tolist()
+    assert b1.scores.tobytes() == b2.scores.tobytes()
+    assert b1.probabilities.tobytes() == b2.probabilities.tobytes()
+
+
+@st.composite
+def probability_rows(draw):
+    n = draw(st.integers(min_value=0, max_value=40))
+    m = draw(st.integers(min_value=1, max_value=12))
+    cell = st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e3))
+    rows = draw(st.lists(st.lists(cell, min_size=m, max_size=m), min_size=n, max_size=n))
+    p = np.array(rows, dtype=np.float64).reshape(n, m)
+    p[p.sum(axis=1) == 0, draw(st.integers(0, m - 1))] = 1.0  # one-hot rows
+    return p
+
+
+@given(p=probability_rows(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_select_expert_batch_equals_sequential_choice(p, seed):
+    sequential, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = [int(sequential.choice(p.shape[1], p=row / row.sum())) for row in p]
+    got = select_expert(p, "sample", batched)
+    assert got.shape == (len(p),)
+    assert got.tolist() == want
+    assert batched.bit_generator.state == sequential.bit_generator.state
+
+
+def test_select_expert_batch_argmax_and_bad_rows():
+    p = np.array([[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]])
+    np.testing.assert_array_equal(select_expert(p, "argmax"), [1, 0, 0])
+    rng = np.random.default_rng(0)
+    for bad in ([[0.5, -0.1]], [[0.0, 0.0]], [[np.nan, 1.0]]):
+        with pytest.raises(ValueError):
+            select_expert(np.array(bad), "sample", rng)
+    with pytest.raises(ValueError, match="unknown routing mode"):
+        select_expert(p, "mix")
+
+
+def test_routing_batch_validates_once_per_batch():
+    scores = np.array([[0.5, 0.5], [0.25, 0.75]])
+    ok = RoutingBatch(np.arange(2), 0, "argmax", np.array([0, 1]), scores, scores)
+    assert len(ok) == 2
+    with pytest.raises(ValueError, match="out of range"):
+        RoutingBatch(np.arange(2), 0, "argmax", np.array([0, 2]), scores, scores)
+    with pytest.raises(ValueError, match="sum to 1"):
+        RoutingBatch(np.arange(2), 0, "argmax", np.array([0, 1]), scores, scores * 1.01)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -186,3 +189,20 @@ def test_forward_and_gradients_deterministic():
     assert l1.tobytes() == l2.tobytes()
     for p in g1:
         assert g1[p].tobytes() == g2[p].tobytes()
+
+
+def test_backward_graph_freed_without_cyclic_gc():
+    # backward must not leave a reference cycle that keeps the graph alive
+    w = Tensor(np.ones((3, 4)), requires_grad=True)
+    gc.disable()
+    try:
+        hidden = (w * Tensor(2.0)).relu()
+        alive = weakref.ref(hidden.data)
+        loss = hidden.sum()
+        del hidden
+        loss.backward()
+        del loss
+        assert alive() is None
+    finally:
+        gc.enable()
+    np.testing.assert_array_equal(w.grad, np.full((3, 4), 2.0))
