@@ -1,7 +1,9 @@
 """Group-specific mixture-of-experts lab: MI-driven routing, fairness metrics,
 deterministic synthetic data, and a small from-scratch autodiff engine."""
 
-from .tensor import ParamSet, ShapeError, Tensor, conv2d, cross_entropy, dense, global_avg_pool
+from .tensor import (
+    ParamSet, ShapeError, Tensor, conv2d, cross_entropy, dense, global_avg_pool, matmul,
+)
 from .moe import (
     GroupStats,
     MoEConvLayer,

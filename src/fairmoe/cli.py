@@ -2,14 +2,15 @@
 
 One JSON config document drives generation and training; its keys mirror
 the SynthConfig / ModelConfig / TrainConfig field names under the
-"synth", "model", and "train" sections.
+"synth", "model", and "train" sections, and a key that names no field is
+rejected.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 from . import data as data_mod
@@ -22,6 +23,7 @@ from .training import (
     evaluate,
     router_depth_report,
     run_training,
+    write_dict_csv,
     write_routing_csv,
 )
 
@@ -29,6 +31,18 @@ from .training import (
 def _read_config(path):
     with open(path) as f:
         return json.load(f)
+
+
+def _section(doc, name, cls):
+    """The ``cls`` config from the document's ``name`` section; unset fields keep defaults."""
+    values = doc.get(name, {})
+    known = [f.name for f in fields(cls)]
+    for key in values:
+        if key not in known:
+            raise ValueError(
+                f"config section {name!r} has unknown key {key!r}; expected one of {known}"
+            )
+    return cls(**values)
 
 
 def _load_dataset(data_dir):
@@ -45,7 +59,7 @@ def _split_from_config(samples, doc):
 
 def cmd_synth_data(args):
     doc = _read_config(args.config)
-    config = SynthConfig.from_dict(doc.get("synth", {}))
+    config = _section(doc, "synth", SynthConfig)
     samples, stats = data_mod.generate(config)
     data_mod.save(samples, args.out)
     print(f"wrote {len(samples)} samples to {args.out} (group sizes {stats.sizes.astype(int).tolist()})")
@@ -53,8 +67,7 @@ def cmd_synth_data(args):
 
 def cmd_train(args):
     doc = _read_config(args.config)
-    model_cfg = ModelConfig.from_dict({**ModelConfig().to_dict(), **doc.get("model", {})})
-    train_cfg = TrainConfig.from_dict(doc.get("train", {}))
+    model_cfg, train_cfg = _section(doc, "model", ModelConfig), _section(doc, "train", TrainConfig)
     samples, stats = _load_dataset(args.data)
     train_samples, _ = _split_from_config(samples, doc)
     model, log_rows = run_training(model_cfg, train_samples, stats, train_cfg, out_dir=args.out)
@@ -87,8 +100,7 @@ def cmd_eval(args):
 
 def cmd_ablate(args):
     doc = _read_config(args.config)
-    model_cfg = ModelConfig.from_dict({**ModelConfig().to_dict(), **doc.get("model", {})})
-    train_cfg = TrainConfig.from_dict(doc.get("train", {}))
+    model_cfg, train_cfg = _section(doc, "model", ModelConfig), _section(doc, "train", TrainConfig)
     seeds = doc.get("ablation_seeds", [train_cfg.seed])
     samples, stats = _load_dataset(args.data)
     train_samples, test_samples = _split_from_config(samples, doc)
@@ -96,10 +108,7 @@ def cmd_ablate(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "ablation.csv"
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(table[0]))
-        writer.writeheader()
-        writer.writerows(table)
+    write_dict_csv(table, path)
     for row in table:
         print(row)
     print(f"wrote {path}")
@@ -113,10 +122,7 @@ def cmd_route_report(args):
     rows = router_depth_report(
         model, test_samples, train_samples, stats, score_kind=args.score_kind
     )
-    with open(args.out, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    write_dict_csv(rows, args.out)
     for row in rows:
         print(row)
 

@@ -13,7 +13,6 @@ binary, bit-exact round trips) plus a human-readable ``manifest.csv``.
 from __future__ import annotations
 
 import csv
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,16 +56,6 @@ class SynthConfig:
             raise ValueError("each group's class priors must be a distribution")
         if not self.boundary_halfwidth < self.threshold:
             raise ValueError("boundary halfwidth must be smaller than the threshold")
-
-    def to_json(self):
-        return json.dumps(self.__dict__, default=list, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        if "class_priors" in d:
-            d["class_priors"] = tuple(tuple(row) for row in d["class_priors"])
-        return cls(**d)
 
 
 def gain(t):
@@ -169,6 +158,10 @@ def load(dirpath):
         need(offset, 12 + 8 * pix, f"sample {len(samples)}")
         (t,) = struct.unpack_from("<d", raw, offset)
         label, group = struct.unpack_from("<2H", raw, offset + 8)
+        if group > 1:
+            raise DatasetFormatError(
+                f"{path}: sample {len(samples)} has group {group}, not 0 or 1, at byte {offset + 10}"
+            )
         img = np.frombuffer(raw, dtype="<f8", count=pix, offset=offset + 12)
         samples.append(
             Sample(image=img.reshape(c, h, w).copy(), label=label, group=group, attribute=t)

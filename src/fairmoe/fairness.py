@@ -185,18 +185,6 @@ class FairnessReport:
             sort_keys=True,
         )
 
-    def csv_row(self):
-        row = {
-            "avg_f1": self.avg["f1"],
-            "avg_precision": self.avg["precision"],
-            "avg_recall": self.avg["recall"],
-            "eopp0": self.eopp0,
-            "eopp1": self.eopp1,
-            "eodd": self.eodd,
-        }
-        row.update({f"fate_{k}": v for k, v in self.fate_scores.items()})
-        return row
-
 
 def build_report(log, n_classes, n_groups, baseline=None, baseline_name=None):
     """Assemble a FairnessReport; FATE terms use avg F1 as the accuracy side."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,8 @@ from .tensor import ParamSet, Tensor, conv2d, dense, global_avg_pool
 
 CKPT_MAGIC = b"FMCK"
 CKPT_VERSION = 1
+
+BLOCK_KEYS = ("out_channels", "kernel", "stride", "padding")
 
 DEFAULT_BLOCKS = (
     {"out_channels": 8, "kernel": 3, "stride": 2, "padding": 1},
@@ -45,27 +47,29 @@ class ModelConfig:
             raise ValueError("model needs at least one conv block")
         if len(self.moe_flags) != len(self.blocks):
             raise ValueError("one MoE flag per conv block is required")
+        for i, block in enumerate(self.blocks):
+            _check_block(i, block)
 
     def to_dict(self):
-        return {
-            "blocks": [dict(b) for b in self.blocks],
-            "moe_flags": list(self.moe_flags),
-            "m": self.m,
-            "router_width": self.router_width,
-            "n_classes": self.n_classes,
-            "in_channels": self.in_channels,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            blocks=tuple(d["blocks"]),
-            moe_flags=tuple(d["moe_flags"]),
-            m=d["m"],
-            router_width=d["router_width"],
-            n_classes=d["n_classes"],
-            in_channels=d["in_channels"],
-        )
+        """Inverse of ``to_dict``; a missing field raises ``KeyError``."""
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
+
+
+def _check_block(i, block):
+    """Conv geometry: positive int channels, kernel and stride; non-negative int padding."""
+    for key in block:
+        if key not in BLOCK_KEYS:
+            raise ValueError(f"block {i} has unknown key {key!r}; expected {BLOCK_KEYS}")
+    for key in BLOCK_KEYS:
+        if key not in block:
+            raise ValueError(f"block {i} is missing key {key!r}")
+        value, low = block[key], 0 if key == "padding" else 1
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ValueError(f"block {i} {key} must be an int >= {low}, got {value!r}")
 
 
 class PlainConvLayer:
@@ -132,7 +136,7 @@ def build_model(config, seed):
     cin = config.in_channels
     for i, block in enumerate(config.blocks):
         cout, k = block["out_channels"], block["kernel"]
-        stride, padding = block["stride"], block.get("padding", 1)
+        stride, padding = block["stride"], block["padding"]
         kern0 = _he_conv(rng, cout, cin, k)
         if config.moe_flags[i]:
             experts = []

@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import LOG_EPS, Tensor, cross_entropy
+from .tensor import Tensor, cross_entropy, matmul
 
 
 @dataclass
 class LossConfig:
     mi_weight: float = 0.01
-    eps: float = LOG_EPS
     moe_layer_indices: tuple = ()
 
     def __post_init__(self):
@@ -58,7 +57,6 @@ def estimate_joint(probs, groups, stats):
         raise ValueError("cannot estimate a joint from an empty batch")
     if groups.min() < 0 or groups.max() >= stats.m:
         raise ValueError(f"group labels must lie in [0, {stats.m})")
-    probs = probs if isinstance(probs, Tensor) else Tensor(probs)
 
     present = np.unique(groups)
     pc = stats.priors[present]
@@ -69,7 +67,7 @@ def estimate_joint(probs, groups, stats):
     for r, g in enumerate(present):
         idx = groups == g
         avg[r, idx] = 1.0 / idx.sum()
-    cond = _matmul_const(avg, probs)  # (groups present, m) rows P(E|C_j)
+    cond = matmul(Tensor(avg), probs)  # (groups present, m) rows P(E|C_j)
     joint = cond * Tensor(pc[:, None])
     return JointDistribution(
         joint=joint,
@@ -78,25 +76,11 @@ def estimate_joint(probs, groups, stats):
     )
 
 
-def _matmul_const(a, x):
-    """a @ x with a constant left operand."""
-    from .tensor import Tensor as T
-
-    data = a @ x.data
-
-    def bw(g):
-        from .tensor import _accum
-
-        _accum(x, a.T @ g)
-
-    return T._node(data, (x,), bw)
-
-
-def mutual_information(jd, eps=LOG_EPS):
+def mutual_information(jd):
     """I(C;E) in nats from a joint distribution; differentiable scalar Tensor."""
     pc = Tensor(jd.group_priors[:, None])
     pe = jd.expert_marginals.reshape(1, -1)
-    ratio_log = jd.joint.log(eps) - (pc * pe).log(eps)
+    ratio_log = jd.joint.log() - (pc * pe).log()
     return (jd.joint * ratio_log).sum()
 
 
@@ -111,7 +95,7 @@ def total_loss(logits, targets, joints, config):
     loss = cross_entropy(logits, targets)
     parts = {"ce": float(loss.data)}
     for y in config.moe_layer_indices:
-        mi = mutual_information(joints[y], eps=config.eps)
+        mi = mutual_information(joints[y])
         parts[f"mi_layer{y}"] = float(mi.data)
         loss = loss + Tensor(-config.mi_weight) * mi
     parts["total"] = float(loss.data)

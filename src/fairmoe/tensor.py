@@ -161,11 +161,11 @@ class Tensor:
 
         return Tensor._node(data, (self,), bw)
 
-    def log(self, eps=LOG_EPS):
+    def log(self):
         # clamp keeps MI terms finite when an expert gets zero mass;
         # the clamped region is flat, so its gradient is zero
-        clamped = np.maximum(self.data, eps)
-        live = self.data > eps
+        clamped = np.maximum(self.data, LOG_EPS)
+        live = self.data > LOG_EPS
         data = np.log(clamped)
 
         def bw(g):
@@ -211,9 +211,8 @@ class Tensor:
 
 
 def _accum(node, g):
-    if node.requires_grad or node._parents:
-        if node.grad is None:
-            node.grad = np.zeros_like(node.data)
+    # backward() has given every requires-grad node it reaches a grad array
+    if node.requires_grad:
         node.grad += g
 
 
@@ -230,6 +229,20 @@ def _unbroadcast(g, shape):
 # ---- layers -------------------------------------------------------------
 
 
+def matmul(a, b):
+    """Matrix product a @ b; gradients flow only into operands that require them."""
+    a, b = Tensor._lift(a), Tensor._lift(b)
+    data = a.data @ b.data
+
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
+
+    return Tensor._node(data, (a, b), bw)
+
+
 def dense(x, weights, bias):
     """Affine map per row: (N, F) @ (F, K) + (K,)."""
     if x.data.ndim != 2 or weights.data.ndim != 2:
@@ -244,14 +257,7 @@ def dense(x, weights, bias):
             f"dense bias shape {bias.data.shape} does not match "
             f"output width {weights.data.shape[1]}"
         )
-    data = x.data @ weights.data + bias.data
-
-    def bw(g):
-        _accum(x, g @ weights.data.T)
-        _accum(weights, x.data.T @ g)
-        _accum(bias, g.sum(axis=0))
-
-    return Tensor._node(data, (x, weights, bias), bw)
+    return matmul(x, weights) + bias
 
 
 def conv2d(x, kernel, bias, stride=1, padding=0):
@@ -355,9 +361,6 @@ class ParamSet:
 
     def __getitem__(self, path):
         return self._params[path]
-
-    def __contains__(self, path):
-        return path in self._params
 
     def __len__(self):
         return len(self._params)

@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data as data_mod
-from .fairness import PredictionLog, build_report
-from .model import ModelConfig, build_model, save_checkpoint
+from .fairness import PredictionLog, build_report, fate
+from .model import build_model, save_checkpoint
 from .moe import ROUTING_MODES, selection_probabilities
 from .objectives import LossConfig, estimate_joint, total_loss
 from .tensor import Tensor
+
+
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -25,7 +28,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 64
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     mi_weight: float = 0.01
     seed: int = 0
     routing_mode: str = "sample"  # training-time expert selection
@@ -41,18 +43,13 @@ class TrainConfig:
                 )
 
     def to_dict(self):
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**{k: v for k, v in d.items() if k in cls.__dataclass_fields__})
+        return asdict(self)
 
 
 class Adam:
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {p: np.zeros_like(t.data) for p, t in params.items()}
         self.v = {p: np.zeros_like(t.data) for p, t in params.items()}
@@ -63,11 +60,11 @@ class Adam:
             g = tensor.grad
             if g is None:
                 continue
-            self.m[p] = self.beta1 * self.m[p] + (1 - self.beta1) * g
-            self.v[p] = self.beta2 * self.v[p] + (1 - self.beta2) * g * g
-            mh = self.m[p] / (1 - self.beta1 ** self.t)
-            vh = self.v[p] / (1 - self.beta2 ** self.t)
-            tensor.data -= self.lr * mh / (np.sqrt(vh) + self.eps)
+            self.m[p] = BETA1 * self.m[p] + (1 - BETA1) * g
+            self.v[p] = BETA2 * self.v[p] + (1 - BETA2) * g * g
+            mh = self.m[p] / (1 - BETA1 ** self.t)
+            vh = self.v[p] / (1 - BETA2 ** self.t)
+            tensor.data -= self.lr * mh / (np.sqrt(vh) + ADAM_EPS)
 
 
 def train(model, samples, stats, cfg, log_path=None):
@@ -111,10 +108,7 @@ def train(model, samples, stats, cfg, log_path=None):
         row.update({k: float(np.mean([p[k] for p in epoch_parts])) for k in keys})
         log_rows.append(row)
     if log_path is not None:
-        with open(log_path, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=list(log_rows[0]))
-            writer.writeheader()
-            writer.writerows(log_rows)
+        write_dict_csv(log_rows, log_path)
     return log_rows, rng
 
 
@@ -142,10 +136,10 @@ def run_training(model_config, train_samples, stats, cfg, out_dir=None):
     return model, log_rows
 
 
-def evaluate(model, samples, stats, mode="argmax", seed=0, baseline_report=None, baseline_name=None):
-    """Returns (PredictionLog, FairnessReport, routing batches)."""
+def evaluate(model, samples, stats, mode="argmax", baseline_report=None, baseline_name=None):
+    """Returns (PredictionLog, FairnessReport, routing batches); sampled routing uses seed 0."""
     images, labels, groups, _ = data_mod.stack(samples)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     preds, batches = [], []
     bs = 256
     for start in range(0, len(samples), bs):
@@ -174,6 +168,14 @@ def evaluate(model, samples, stats, mode="argmax", seed=0, baseline_report=None,
         baseline_name=baseline_name,
     )
     return log, report, batches
+
+
+def write_dict_csv(rows, path):
+    """CSV with a header row from the first dict's keys, then one row per dict."""
+    with open(path, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def write_routing_csv(batches, path):
@@ -213,19 +215,10 @@ def ablate_moe_layers(base_config, train_samples, test_samples, stats, cfg, seed
     n_blocks = len(base_config.blocks)
     per_count = {}
     for count in range(n_blocks + 1):
-        config = ModelConfig(
-            blocks=base_config.blocks,
-            moe_flags=moe_flags_for_count(n_blocks, count),
-            m=base_config.m,
-            router_width=base_config.router_width,
-            n_classes=base_config.n_classes,
-            in_channels=base_config.in_channels,
-        )
+        config = replace(base_config, moe_flags=moe_flags_for_count(n_blocks, count))
         reports = []
         for seed in seeds:
-            run_cfg = TrainConfig(**{**cfg.to_dict(), "seed": seed})
-            if count == 0:
-                run_cfg.mi_weight = 0.0
+            run_cfg = replace(cfg, seed=seed, mi_weight=0.0 if count == 0 else cfg.mi_weight)
             model, _ = run_training(config, train_samples, stats, run_cfg)
             _, report, _ = evaluate(model, test_samples, stats, mode=cfg.eval_mode)
             reports.append(report)
@@ -245,8 +238,6 @@ def ablate_moe_layers(base_config, train_samples, test_samples, stats, cfg, seed
             "eopp1": mean(count, lambda r: r.eopp1),
             "eodd": mean(count, lambda r: r.eodd),
         }
-        from .fairness import fate
-
         row["fate_eodd"] = (
             0.0
             if count == 0

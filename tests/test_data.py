@@ -106,6 +106,51 @@ def test_manifest_row_count_mismatch_rejected(tmp_path):
         load(tmp_path / "d")
 
 
+@pytest.fixture
+def small_fmds(tmp_path):
+    """A saved 3-sample, 1x4x4 dataset: (directory, data.fmds bytes)."""
+    samples, _ = generate(SynthConfig(n_samples=3, height=4, width=4, seed=14))
+    save(samples, tmp_path / "d")
+    return tmp_path / "d", (tmp_path / "d" / "data.fmds").read_bytes()
+
+
+def _load_or_format_error(dirpath, raw):
+    """Loads ``raw`` as data.fmds; only DatasetFormatError or groups in {0, 1} may come back."""
+    (dirpath / "data.fmds").write_bytes(raw)
+    try:
+        samples = load(dirpath)
+    except DatasetFormatError:
+        return False
+    assert {s.group for s in samples} <= {0, 1}
+    return True
+
+
+def test_every_dataset_truncation_raises_format_error(small_fmds):
+    dirpath, raw = small_fmds
+    assert _load_or_format_error(dirpath, raw)
+    for cut in range(len(raw)):
+        assert not _load_or_format_error(dirpath, raw[:cut]), f"cut at byte {cut} loaded"
+
+
+def test_dataset_single_byte_mutations_raise_only_format_error(small_fmds):
+    dirpath, raw = small_fmds
+    for pos in range(len(raw)):
+        for flip in (0x01, 0x02, 0x80, 0xFF):
+            mutated = bytearray(raw)
+            mutated[pos] ^= flip
+            _load_or_format_error(dirpath, bytes(mutated))  # may load: most bytes are pixels
+
+
+def test_dataset_group_out_of_range_names_sample_and_byte(small_fmds):
+    dirpath, raw = small_fmds
+    group_at = 22 + (12 + 8 * 16) + 10  # sample 1's group field
+    mutated = bytearray(raw)
+    mutated[group_at] = 2
+    (dirpath / "data.fmds").write_bytes(bytes(mutated))
+    with pytest.raises(DatasetFormatError, match=f"sample 1 has group 2.*byte {group_at}"):
+        load(dirpath)
+
+
 def test_split_sizes():
     samples, _ = generate(SynthConfig(n_samples=1000, seed=9))
     train, test = split(samples, 0.8, seed=0)

@@ -14,12 +14,14 @@ from fairmoe.cli import main as cli_main
 from fairmoe.data import SynthConfig, generate, split
 from fairmoe.moe import GroupStats
 from fairmoe.model import (
+    BLOCK_KEYS,
     CheckpointFormatError,
     ModelConfig,
     build_model,
     load_checkpoint,
     save_checkpoint,
 )
+from fairmoe.tensor import ShapeError
 from fairmoe.training import (
     TrainConfig,
     TrainingDiverged,
@@ -196,6 +198,56 @@ def test_checkpoint_fuzz_raises_only_format_error(cut, pos, flip):
     _load_or_format_error(bytes(mutated))  # may load: most bytes are parameter values
 
 
+@pytest.mark.parametrize(
+    "old, new", [(b'"stride": 2', b'"stride": 0'), (b'"m": 2', b'"q": 2')]
+)
+def test_checkpoint_with_bad_model_config_raises_format_error(old, new):
+    raw = small_fmck()
+    assert raw.count(old) == 1
+    assert not _load_or_format_error(raw.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "key, value", [("stride", 0), ("kernel", 0), ("out_channels", 0), ("padding", -1)]
+)
+def test_model_config_rejects_bad_block_geometry(key, value):
+    block = {**SMALL_BLOCKS[1], key: value}
+    with pytest.raises(ValueError, match=f"block 1 {key} must be an int >= "):
+        ModelConfig(blocks=(SMALL_BLOCKS[0], block), moe_flags=(False, False))
+
+
+def test_model_config_rejects_missing_and_unknown_block_keys():
+    with pytest.raises(ValueError, match="block 0 is missing key 'padding'"):
+        ModelConfig(blocks=({"out_channels": 4, "kernel": 3, "stride": 2},), moe_flags=(False,))
+    with pytest.raises(ValueError, match="block 0 has unknown key 'strde'"):
+        ModelConfig(blocks=({**SMALL_BLOCKS[0], "strde": 1},), moe_flags=(False,))
+
+
+_block_values = st.integers(min_value=-1, max_value=4) | st.sampled_from(
+    [True, None, 1.5, float("nan"), "2", [1]]
+)
+
+
+@given(
+    block=st.fixed_dictionaries(
+        {k: _block_values for k in BLOCK_KEYS}, optional={"strde": _block_values}
+    ) | st.dictionaries(st.sampled_from(BLOCK_KEYS), _block_values),
+    moe=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_random_blocks_raise_only_value_error(block, moe):
+    try:
+        config = ModelConfig(blocks=(block,), moe_flags=(moe,), router_width=1)
+        model = build_model(config, seed=0)  # a router as big as an expert is a ValueError
+    except ValueError:
+        return
+    # accepted geometry runs unless the kernel outgrows the input
+    try:
+        model.forward(np.ones((2, 1, 3, 3)), GroupStats(np.array([1.0, 1.0])))
+    except ShapeError as exc:
+        assert "smaller than kernel" in str(exc)
+
+
 def test_reloaded_checkpoint_reproduces_eval_exactly(tmp_path, dataset):
     train_s, test_s, stats = dataset
     cfg = ModelConfig(blocks=SMALL_BLOCKS, moe_flags=(True, True))
@@ -295,6 +347,28 @@ def test_cli_end_to_end(tmp_path, capsys):
     cli_main(["route-report", "--checkpoint", str(ckpt), "--data", str(data_dir), "--out", str(rr)])
     assert rr.read_text().splitlines()[0] == "layer_index,group,own_expert,mean_own_score"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, section, key",
+    [
+        ("synth-data", "synth", "n_sample"),
+        ("train", "model", "moe_flag"),
+        ("train", "train", "mi_wieght"),
+        ("train", "train", "optimizer"),
+        ("ablate", "model", "moe_flag"),
+        ("ablate", "train", "mi_wieght"),
+    ],
+)
+def test_cli_rejects_unknown_config_keys(tmp_path, command, section, key):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({section: {key: 1}}))
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    if command != "synth-data":
+        argv += ["--data", str(tmp_path / "no-data")]
+    with pytest.raises(ValueError, match=f"section '{section}' has unknown key '{key}'"):
+        cli_main(argv)
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_config_rejects_unknown_modes():
