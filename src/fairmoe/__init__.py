@@ -2,7 +2,8 @@
 deterministic synthetic data, and a small from-scratch autodiff engine."""
 
 from .tensor import (
-    ParamSet, ShapeError, Tensor, conv2d, cross_entropy, dense, global_avg_pool, matmul,
+    ParamSet, ShapeError, Tensor, conv2d, cross_entropy, dense, expert_conv2d, global_avg_pool,
+    matmul,
 )
 from .moe import (
     GroupStats,

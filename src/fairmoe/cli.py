@@ -47,7 +47,7 @@ def _section(doc, name, cls):
 
 def _load_dataset(data_dir):
     samples = data_mod.load(data_dir)
-    stats = GroupStats.from_labels([s.group for s in samples], m=2)
+    stats = GroupStats.from_labels([s.group for s in samples], m=data_mod.N_GROUPS)
     return samples, stats
 
 

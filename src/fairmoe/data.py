@@ -23,6 +23,7 @@ from .moe import GroupStats
 
 MAGIC = b"FMDS"
 VERSION = 1
+N_GROUPS = 2  # the attribute threshold splits samples into groups 0 and 1
 
 
 @dataclass
@@ -48,9 +49,9 @@ class SynthConfig:
 
     def __post_init__(self):
         priors = np.asarray(self.class_priors, dtype=np.float64)
-        if priors.shape != (2, self.n_classes):
+        if priors.shape != (N_GROUPS, self.n_classes):
             raise ValueError(
-                f"class_priors must be 2 x {self.n_classes}, got shape {priors.shape}"
+                f"class_priors must be {N_GROUPS} x {self.n_classes}, got shape {priors.shape}"
             )
         if np.any(priors < 0) or np.max(np.abs(priors.sum(axis=1) - 1.0)) > 1e-9:
             raise ValueError("each group's class priors must be a distribution")
@@ -99,7 +100,7 @@ def generate(config):
         noise = rng.uniform(-config.noise_sigma, config.noise_sigma, size=base.shape)
         img = np.clip(gain(t[i]) * base + noise, 0.0, 1.0)
         samples.append(Sample(image=img, label=y, group=int(groups[i]), attribute=float(t[i])))
-    stats = GroupStats.from_labels([s.group for s in samples], m=2)
+    stats = GroupStats.from_labels([s.group for s in samples], m=N_GROUPS)
     return samples, stats
 
 
@@ -158,9 +159,10 @@ def load(dirpath):
         need(offset, 12 + 8 * pix, f"sample {len(samples)}")
         (t,) = struct.unpack_from("<d", raw, offset)
         label, group = struct.unpack_from("<2H", raw, offset + 8)
-        if group > 1:
+        if group >= N_GROUPS:
             raise DatasetFormatError(
-                f"{path}: sample {len(samples)} has group {group}, not 0 or 1, at byte {offset + 10}"
+                f"{path}: sample {len(samples)} has group {group}, not in [0, {N_GROUPS}), "
+                f"at byte {offset + 10}"
             )
         img = np.frombuffer(raw, dtype="<f8", count=pix, offset=offset + 12)
         samples.append(

@@ -70,10 +70,6 @@ class GroupClassConfusion:
     def n_groups(self):
         return self.tp.shape[0]
 
-    @property
-    def n_classes(self):
-        return self.tp.shape[1]
-
 
 def confusion(log, n_classes, n_groups):
     """Exact one-vs-rest counts from a prediction log."""

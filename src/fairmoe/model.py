@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import namedtuple
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -43,6 +44,10 @@ class ModelConfig:
     def __post_init__(self):
         self.blocks = tuple(dict(b) for b in self.blocks)
         self.moe_flags = tuple(bool(f) for f in self.moe_flags)
+        for name in ("m", "router_width", "n_classes", "in_channels"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"model {name} must be an int >= 1, got {value!r}")
         if len(self.blocks) < 1:
             raise ValueError("model needs at least one conv block")
         if len(self.moe_flags) != len(self.blocks):
@@ -72,13 +77,7 @@ def _check_block(i, block):
             raise ValueError(f"block {i} {key} must be an int >= {low}, got {value!r}")
 
 
-class PlainConvLayer:
-    def __init__(self, layer_index, kernel, bias, stride, padding):
-        self.layer_index = layer_index
-        self.kernel = kernel
-        self.bias = bias
-        self.stride = stride
-        self.padding = padding
+PlainConvLayer = namedtuple("PlainConvLayer", "layer_index kernel bias stride padding")
 
 
 class Model:
@@ -98,8 +97,7 @@ class Model:
 
         The routing batches are one ``RoutingBatch`` per MoE layer, in layer order.
         """
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
+        x = Tensor._lift(x)
         batches, probs_by_layer = [], {}
         for layer in self.layers:
             if isinstance(layer, MoEConvLayer):

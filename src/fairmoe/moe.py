@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, conv2d, dense, global_avg_pool
+from .tensor import ShapeError, Tensor, conv2d, dense, expert_conv2d, global_avg_pool
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,6 @@ class MoEConvLayer:
         self.router = router  # (conv_kernel, conv_bias, dense_w, dense_b)
         self.stride = stride
         self.padding = padding
-        shapes = {(e[0].shape, e[1].shape) for e in experts}
-        if len(shapes) != 1:
-            raise ValueError("experts of one layer must share kernel/bias shapes")
         if self.router_param_count() >= self.expert_param_count():
             raise ValueError(
                 f"router has {self.router_param_count()} parameters, not smaller "
@@ -124,13 +121,12 @@ def route_scores(x, layer):
 
 def selection_probabilities(scores, stats):
     """Balance router scores by inverse group size: p_k = a_k s_k / sum_j a_j s_j."""
-    s = scores.data if isinstance(scores, Tensor) else np.asarray(scores, dtype=np.float64)
+    scores = Tensor._lift(scores)
+    s = scores.data
     if s.shape[-1] != stats.m:
         raise ShapeError(f"score width {s.shape[-1]} != group count {stats.m}")
     if np.any(s < -1e-12):
         raise ValueError("scores must be nonnegative")
-    if not isinstance(scores, Tensor):
-        scores = Tensor(s)
     weighted = scores * Tensor(stats.alphas)
     denom = weighted.sum(axis=-1, keepdims=True)
     if np.any(denom.data <= 0):
@@ -173,7 +169,6 @@ def moe_forward(x, layer, stats, mode, rng=None, sample_ids=None, groups=None):
     ``group`` mode the router is bypassed and the expert is the true group
     label.
     """
-    n = x.data.shape[0]
     scores = route_scores(x, layer)
     probs = selection_probabilities(scores, stats)
 
@@ -184,17 +179,10 @@ def moe_forward(x, layer, stats, mode, rng=None, sample_ids=None, groups=None):
     else:
         chosen = select_expert(probs.data, mode, rng)
 
-    out = None
-    for k, (kern, bias) in enumerate(layer.experts):
-        idx = np.flatnonzero(chosen == k)
-        if idx.size == 0:
-            continue
-        yk = conv2d(x.take_rows(idx), kern, bias, stride=layer.stride, padding=layer.padding)
-        part = yk.scatter_rows(idx, n)
-        out = part if out is None else out + part
+    out = expert_conv2d(x, layer.experts, chosen, layer.stride, layer.padding)
 
     batch = RoutingBatch(
-        sample_ids=np.arange(n) if sample_ids is None else np.asarray(sample_ids),
+        sample_ids=np.arange(len(chosen)) if sample_ids is None else np.asarray(sample_ids),
         layer_index=layer.layer_index,
         mode=mode,
         chosen=chosen,

@@ -10,6 +10,7 @@ plain addition.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 LOG_EPS = 1e-12
 
@@ -31,9 +32,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def is_leaf(self):
-        return not self._parents
 
     @staticmethod
     def _node(data, parents, backward):
@@ -146,10 +144,6 @@ class Tensor:
 
         return Tensor._node(data, (self,), bw)
 
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * Tensor(1.0 / n)
-
     # ---- nonlinearities -------------------------------------------------
 
     def relu(self):
@@ -183,31 +177,6 @@ class Tensor:
             _accum(self, y * (g - inner))
 
         return Tensor._node(y, (self,), bw)
-
-    # ---- batch row routing ----------------------------------------------
-
-    def take_rows(self, idx):
-        """Select rows along axis 0; backward scatter-adds."""
-        idx = np.asarray(idx, dtype=np.intp)
-        data = self.data[idx]
-
-        def bw(g):
-            acc = np.zeros_like(self.data)
-            np.add.at(acc, idx, g)
-            _accum(self, acc)
-
-        return Tensor._node(data, (self,), bw)
-
-    def scatter_rows(self, idx, n):
-        """Place this tensor's rows at positions ``idx`` of a zero (n, ...) tensor."""
-        idx = np.asarray(idx, dtype=np.intp)
-        data = np.zeros((n,) + self.data.shape[1:], dtype=np.float64)
-        data[idx] = self.data
-
-        def bw(g):
-            _accum(self, g[idx])
-
-        return Tensor._node(data, (self,), bw)
 
 
 def _accum(node, g):
@@ -262,16 +231,39 @@ def dense(x, weights, bias):
 
 def conv2d(x, kernel, bias, stride=1, padding=0):
     """2-D cross-correlation, NCHW input, OIKhKw kernel, zero padding."""
+    return expert_conv2d(x, [(kernel, bias)], None, stride, padding)
+
+
+def expert_conv2d(x, experts, chosen, stride=1, padding=0):
+    """``conv2d`` where row i of x runs ``experts[chosen[i]]``, a (kernel, bias) pair.
+
+    One node: x is unfolded once; each expert contracts only its own rows.
+    ``chosen=None`` runs one expert on all rows.
+    """
+    if not experts:
+        raise ValueError("expert_conv2d needs at least one expert")
+    kernel, bias = experts[0]
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError("conv2d expects NCHW input and OIKhKw kernel")
     n, cin, h, w = x.data.shape
     cout, kin, kh, kw = kernel.data.shape
     if cin != kin:
-        raise ShapeError(
-            f"conv2d channel mismatch: input has {cin} channels, kernel expects {kin}"
-        )
+        raise ShapeError(f"conv2d channel mismatch: input has {cin} channels, kernel expects {kin}")
     if bias.data.shape != (cout,):
         raise ShapeError(f"conv2d bias shape {bias.data.shape}, expected ({cout},)")
+    if any(k.shape != kernel.shape or b.shape != bias.shape for k, b in experts):
+        raise ShapeError(f"every expert needs kernel {kernel.shape} and bias {bias.shape}")
+    if chosen is None and len(experts) != 1:
+        raise ValueError(f"{len(experts)} experts need a chosen expert per row")
+    if chosen is not None:
+        chosen = np.asarray(chosen)
+        if chosen.shape != (n,) or chosen.dtype.kind not in "iu":
+            raise ShapeError(f"chosen must be ({n},) ints, got {chosen.dtype} {chosen.shape}")
+        bad = np.flatnonzero((chosen < 0) | (chosen >= len(experts)))
+        if bad.size:
+            raise ValueError(
+                f"row {bad[0]} chose expert {chosen[bad[0]]}, not in [0, {len(experts)})"
+            )
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError(
             f"conv2d spatial extent {h}x{w} (+pad {padding}) smaller than kernel {kh}x{kw}"
@@ -280,28 +272,43 @@ def conv2d(x, kernel, bias, stride=1, padding=0):
     ow = (w + 2 * padding - kw) // stride + 1
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, cin, kh, kw, oh, ow), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride]
-    data = np.tensordot(kernel.data, cols, axes=([1, 2, 3], [1, 2, 3]))
-    data = data.transpose(1, 0, 2, 3) + bias.data[None, :, None, None]
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))  # (n, cin, kh, kw, oh, ow)
+    # later reductions sum in memory order, so each output layout is part of the bits:
+    # one expert keeps the GEMM's (cout, n, oh, ow)-major memory, dispatch is C-ordered
+    if chosen is None:
+        runs = [(slice(None), kernel, bias, cols)]
+    else:
+        rows = (np.flatnonzero(chosen == e) for e in range(len(experts)))
+        runs = [(idx, k, b, cols[idx]) for idx, (k, b) in zip(rows, experts) if idx.size]
+        data = np.empty((n, cout, oh, ow), dtype=np.float64)
+    for idx, k, b, ck in runs:
+        y = np.tensordot(k.data, ck, axes=([1, 2, 3], [1, 2, 3])).transpose(1, 0, 2, 3)
+        y = y + b.data[None, :, None, None]
+        if chosen is None:
+            data = y
+        else:
+            data[idx] = y
 
     def bw(g):
-        _accum(bias, g.sum(axis=(0, 2, 3)))
-        # g: (n, cout, oh, ow), cols: (n, cin, kh, kw, oh, ow)
-        _accum(kernel, np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5])))
-        gc = np.tensordot(kernel.data, g, axes=([0], [1]))  # (cin, kh, kw, n, oh, ow)
-        gc = gc.transpose(3, 0, 1, 2, 4, 5)
-        gxp = np.zeros_like(xp)
+        gcols = np.empty((cin, kh, kw, n, oh, ow), dtype=np.float64) if x.requires_grad else None
+        for idx, k, b, ck in runs:
+            # (cout, nk, oh, ow): each bias gradient sums one contiguous block, whatever g's layout
+            gk = np.ascontiguousarray(g.transpose(1, 0, 2, 3)[:, idx])
+            _accum(b, gk.sum(axis=(1, 2, 3)))
+            _accum(k, np.tensordot(gk, ck, axes=([1, 2, 3], [0, 4, 5])))
+            if gcols is not None:
+                gcols[:, :, :, idx] = np.tensordot(k.data, gk, axes=([0], [0]))
+        if gcols is None:
+            return
+        gc = gcols.transpose(3, 0, 1, 2, 4, 5)
+        gxp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=np.float64)
         for i in range(kh):
             for j in range(kw):
                 gxp[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += gc[:, :, i, j]
-        if padding:
-            gxp = gxp[:, :, padding:-padding, padding:-padding]
-        _accum(x, gxp)
+        _accum(x, gxp[:, :, padding : padding + h, padding : padding + w])
 
-    return Tensor._node(data, (x, kernel, bias), bw)
+    return Tensor._node(data, (x, *(t for _, k, b, _ in runs for t in (k, b))), bw)
 
 
 def global_avg_pool(x):
@@ -353,7 +360,7 @@ class ParamSet:
     def add(self, path, tensor):
         if path in self._params:
             raise ValueError(f"duplicate parameter path {path!r}")
-        if not tensor.is_leaf():
+        if tensor._parents:
             raise ValueError(f"parameter {path!r} is not a leaf tensor")
         tensor.requires_grad = True
         self._params[path] = tensor
@@ -361,9 +368,6 @@ class ParamSet:
 
     def __getitem__(self, path):
         return self._params[path]
-
-    def __len__(self):
-        return len(self._params)
 
     def items(self):
         return self._params.items()

@@ -67,6 +67,14 @@ class Adam:
             tensor.data -= self.lr * mh / (np.sqrt(vh) + ADAM_EPS)
 
 
+def _check_labels(labels, n_classes):
+    """Every label must index one of the model's ``n_classes`` outputs."""
+    bad = np.flatnonzero((labels < 0) | (labels >= n_classes))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"sample at position {i} has label {labels[i]}, not in [0, {n_classes})")
+
+
 def train(model, samples, stats, cfg, log_path=None):
     """Minibatch training with sampled soft routing and per-layer MI terms.
 
@@ -74,6 +82,7 @@ def train(model, samples, stats, cfg, log_path=None):
     state owner, for checkpointing.
     """
     images, labels, groups, _ = data_mod.stack(samples)
+    _check_labels(labels, model.config.n_classes)
     n = len(samples)
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.params, lr=cfg.learning_rate)
@@ -139,6 +148,7 @@ def run_training(model_config, train_samples, stats, cfg, out_dir=None):
 def evaluate(model, samples, stats, mode="argmax", baseline_report=None, baseline_name=None):
     """Returns (PredictionLog, FairnessReport, routing batches); sampled routing uses seed 0."""
     images, labels, groups, _ = data_mod.stack(samples)
+    _check_labels(labels, model.config.n_classes)
     rng = np.random.default_rng(0)
     preds, batches = [], []
     bs = 256

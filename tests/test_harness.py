@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fairmoe import cli
 from fairmoe.cli import main as cli_main
-from fairmoe.data import SynthConfig, generate, split
+from fairmoe.data import SynthConfig, generate, load, save, split
 from fairmoe.moe import GroupStats
 from fairmoe.model import (
     BLOCK_KEYS,
@@ -207,6 +207,15 @@ def test_checkpoint_with_bad_model_config_raises_format_error(old, new):
     assert not _load_or_format_error(raw.replace(old, new))
 
 
+def test_checkpoint_with_zero_router_width_raises_format_error(tmp_path):
+    raw = small_fmck()
+    assert raw.count(b'"router_width": 1') == 1
+    path = tmp_path / "c.fmck"
+    path.write_bytes(raw.replace(b'"router_width": 1', b'"router_width": 0'))
+    with pytest.raises(CheckpointFormatError, match="model router_width must be an int >= 1"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize(
     "key, value", [("stride", 0), ("kernel", 0), ("out_channels", 0), ("padding", -1)]
 )
@@ -214,6 +223,13 @@ def test_model_config_rejects_bad_block_geometry(key, value):
     block = {**SMALL_BLOCKS[1], key: value}
     with pytest.raises(ValueError, match=f"block 1 {key} must be an int >= "):
         ModelConfig(blocks=(SMALL_BLOCKS[0], block), moe_flags=(False, False))
+
+
+@pytest.mark.parametrize("field", ["m", "router_width", "n_classes", "in_channels"])
+@pytest.mark.parametrize("value", [0, -1, True, 1.5, "2", None])
+def test_model_config_rejects_bad_scalar_fields(field, value):
+    with pytest.raises(ValueError, match=f"model {field} must be an int >= 1, got {value!r}"):
+        ModelConfig(blocks=SMALL_BLOCKS, moe_flags=(False, True), **{field: value})
 
 
 def test_model_config_rejects_missing_and_unknown_block_keys():
@@ -426,4 +442,26 @@ def test_route_report_uses_config_split(tmp_path, monkeypatch, capsys):
         report_train, report_test = ({key(s) for s in part} for part in seen["report"])
         assert (report_test == all_keys - trained) is same_split
         assert (report_train == trained) is same_split
+    capsys.readouterr()
+
+
+def test_out_of_range_label_names_sample_and_class_count(tmp_path, capsys):
+    samples, stats = generate(SynthConfig(n_samples=40, seed=3))
+    data_dir = tmp_path / "data"
+    save(samples, data_dir)
+    cfg = ModelConfig(blocks=SMALL_BLOCKS, moe_flags=(False, True))
+    run_training(cfg, samples, stats, TrainConfig(epochs=1), out_dir=tmp_path / "run")
+    ckpt = str(tmp_path / "run" / "checkpoint.fmck")
+
+    raw = bytearray((data_dir / "data.fmds").read_bytes())
+    label_at = 22 + 5 * (12 + 8 * 16 * 16) + 8  # sample 5's label field
+    raw[label_at : label_at + 2] = (9).to_bytes(2, "little")
+    (data_dir / "data.fmds").write_bytes(bytes(raw))
+    message = r"sample at position 5 has label 9, not in \[0, 4\)"
+    with pytest.raises(ValueError, match=message):
+        cli_main(["eval", "--checkpoint", ckpt, "--data", str(data_dir),
+                  "--out", str(tmp_path / "eval")])
+    with pytest.raises(ValueError, match=message):
+        run_training(cfg, load(data_dir), stats, TrainConfig(epochs=1))
+    assert not (tmp_path / "eval").exists()
     capsys.readouterr()

@@ -11,6 +11,7 @@ from fairmoe.tensor import (
     conv2d,
     cross_entropy,
     dense,
+    expert_conv2d,
     global_avg_pool,
 )
 
@@ -206,3 +207,74 @@ def test_backward_graph_freed_without_cyclic_gc():
     finally:
         gc.enable()
     np.testing.assert_array_equal(w.grad, np.full((3, 4), 2.0))
+
+
+def _experts(rng, m, cout=3, cin=2, k=3):
+    params = ParamSet()
+    for e in range(m):
+        params.add(f"e{e}.kernel", Tensor(rng.normal(size=(cout, cin, k, k))))
+        params.add(f"e{e}.bias", Tensor(rng.normal(size=cout)))
+    params.zero_grad()
+    return params, [(params[f"e{e}.kernel"], params[f"e{e}.bias"]) for e in range(m)]
+
+
+@pytest.mark.parametrize("x_grad", [True, False])
+@pytest.mark.parametrize(
+    "chosen", [[0, 2, 0, 2, 2], [1, 1, 1, 1, 1]], ids=["expert-without-rows", "one-expert"]
+)
+def test_expert_conv2d_equals_conv2d_on_each_experts_rows(chosen, x_grad):
+    rng = np.random.default_rng(0)
+    _, experts = _experts(rng, 3)
+    x = Tensor(rng.normal(size=(5, 2, 6, 6)), requires_grad=x_grad)
+    weight = rng.normal(size=(5, 3, 3, 3))
+    chosen = np.array(chosen)
+    out = expert_conv2d(x, experts, chosen, stride=2, padding=1)
+    (out * Tensor(weight)).sum().backward()
+    assert (x.grad is not None) == x_grad
+    for e, (kernel, bias) in enumerate(experts):
+        idx = np.flatnonzero(chosen == e)
+        ref_k = Tensor(kernel.data, requires_grad=True)
+        ref_b = Tensor(bias.data, requires_grad=True)
+        xe = Tensor(x.data[idx], requires_grad=True)
+        ref = conv2d(xe, ref_k, ref_b, stride=2, padding=1)
+        (ref * Tensor(weight[idx])).sum().backward()
+        np.testing.assert_array_equal(out.data[idx], ref.data)
+        np.testing.assert_array_equal(kernel.grad, ref_k.grad)
+        np.testing.assert_array_equal(bias.grad, ref_b.grad)
+        if x_grad:
+            np.testing.assert_array_equal(x.grad[idx], xe.grad)
+
+
+def test_expert_conv2d_gradients_match_finite_differences():
+    rng = np.random.default_rng(1)
+    params, experts = _experts(rng, 3)
+    x = params.add("x", Tensor(rng.normal(size=(5, 2, 5, 5))))
+    weight = Tensor(rng.normal(size=(5, 3, 3, 3)))
+    chosen = np.array([2, 0, 2, 2, 0])
+
+    def loss():
+        out = expert_conv2d(x, experts, chosen, stride=2, padding=1)
+        return (out * out * weight).sum()
+
+    assert check_params(loss, params) < 1e-6  # every expert's kernel and bias, and x
+    np.testing.assert_array_equal(params["e1.kernel"].grad, 0.0)  # expert 1 has no rows
+
+
+def test_expert_conv2d_rejects_bad_input():
+    rng = np.random.default_rng(2)
+    _, experts = _experts(rng, 2)
+    x = Tensor(rng.normal(size=(4, 2, 6, 6)))
+    for bad in ([0, 1, 0], [[0, 1, 0, 1]], [0.0, 1.0, 0.0, 1.0]):
+        with pytest.raises(ShapeError, match=r"chosen must be \(4,\) ints"):
+            expert_conv2d(x, experts, np.array(bad))
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match=f"row 2 chose expert {bad}, not in \\[0, 2\\)"):
+            expert_conv2d(x, experts, np.array([0, 1, bad, 1]))
+    with pytest.raises(ValueError, match="2 experts need a chosen expert per row"):
+        expert_conv2d(x, experts, None)
+    with pytest.raises(ValueError, match="at least one expert"):
+        expert_conv2d(x, [], np.zeros(4, dtype=int))
+    kernel, bias = experts[0]
+    for odd in ((Tensor(np.zeros((3, 2, 1, 1))), bias), (kernel, Tensor(np.zeros(4)))):
+        with pytest.raises(ShapeError, match="every expert needs kernel"):
+            expert_conv2d(x, [experts[0], odd], np.array([0, 1, 0, 1]))
