@@ -3,7 +3,7 @@
 One JSON config document drives generation and training; its keys mirror
 the SynthConfig / ModelConfig / TrainConfig field names under the
 "synth", "model", and "train" sections, and a key that names no field is
-rejected.
+rejected, as is a top-level key outside ``CONFIG_KEYS``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .moe import GroupStats
 from .training import (
     TrainConfig,
     ablate_moe_layers,
+    check_labels,
     evaluate,
     router_depth_report,
     run_training,
@@ -28,25 +29,33 @@ from .training import (
 )
 
 
+CONFIG_KEYS = ("synth", "model", "train", "train_fraction", "split_seed", "ablation_seeds")
+
+
+def _reject_unknown(keys, known, where):
+    for key in keys:
+        if key not in known:
+            raise ValueError(f"{where} has unknown key {key!r}; expected one of {known}")
+
+
 def _read_config(path):
     with open(path) as f:
-        return json.load(f)
+        doc = json.load(f)
+    _reject_unknown(doc, CONFIG_KEYS, "config")
+    return doc
 
 
 def _section(doc, name, cls):
     """The ``cls`` config from the document's ``name`` section; unset fields keep defaults."""
     values = doc.get(name, {})
-    known = [f.name for f in fields(cls)]
-    for key in values:
-        if key not in known:
-            raise ValueError(
-                f"config section {name!r} has unknown key {key!r}; expected one of {known}"
-            )
+    _reject_unknown(values, [f.name for f in fields(cls)], f"config section {name!r}")
     return cls(**values)
 
 
-def _load_dataset(data_dir):
+def _load_dataset(data_dir, n_classes):
+    """The file's samples and group stats; labels are checked, by file index, before any split."""
     samples = data_mod.load(data_dir)
+    check_labels([s.label for s in samples], n_classes)
     stats = GroupStats.from_labels([s.group for s in samples], m=data_mod.N_GROUPS)
     return samples, stats
 
@@ -68,7 +77,7 @@ def cmd_synth_data(args):
 def cmd_train(args):
     doc = _read_config(args.config)
     model_cfg, train_cfg = _section(doc, "model", ModelConfig), _section(doc, "train", TrainConfig)
-    samples, stats = _load_dataset(args.data)
+    samples, stats = _load_dataset(args.data, model_cfg.n_classes)
     train_samples, _ = _split_from_config(samples, doc)
     model, log_rows = run_training(model_cfg, train_samples, stats, train_cfg, out_dir=args.out)
     last = log_rows[-1]
@@ -78,7 +87,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model, stats, _, _, _ = load_checkpoint(args.checkpoint)
-    samples, _ = _load_dataset(args.data)
+    samples, _ = _load_dataset(args.data, model.config.n_classes)
     baseline_report = None
     baseline_name = None
     if args.baseline:
@@ -102,7 +111,7 @@ def cmd_ablate(args):
     doc = _read_config(args.config)
     model_cfg, train_cfg = _section(doc, "model", ModelConfig), _section(doc, "train", TrainConfig)
     seeds = doc.get("ablation_seeds", [train_cfg.seed])
-    samples, stats = _load_dataset(args.data)
+    samples, stats = _load_dataset(args.data, model_cfg.n_classes)
     train_samples, test_samples = _split_from_config(samples, doc)
     table = ablate_moe_layers(model_cfg, train_samples, test_samples, stats, train_cfg, seeds=seeds)
     out_dir = Path(args.out)
@@ -116,7 +125,7 @@ def cmd_ablate(args):
 
 def cmd_route_report(args):
     model, stats, _, _, _ = load_checkpoint(args.checkpoint)
-    samples, _ = _load_dataset(args.data)
+    samples, _ = _load_dataset(args.data, model.config.n_classes)
     doc = _read_config(args.config) if args.config else {}
     train_samples, test_samples = _split_from_config(samples, doc)
     rows = router_depth_report(

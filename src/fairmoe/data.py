@@ -13,6 +13,7 @@ binary, bit-exact round trips) plus a human-readable ``manifest.csv``.
 from __future__ import annotations
 
 import csv
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +24,7 @@ from .moe import GroupStats
 
 MAGIC = b"FMDS"
 VERSION = 1
+HEADER_BYTES = 22  # magic, <H version, <4I n, c, h, w
 N_GROUPS = 2  # the attribute threshold splits samples into groups 0 and 1
 
 
@@ -111,76 +113,84 @@ class DatasetFormatError(ValueError):
     """Malformed dataset file; message carries the failing byte offset."""
 
 
+def record_dtype(c, h, w):
+    """One ``FMDS`` sample record, packed little-endian; n of them follow the header."""
+    return np.dtype(
+        [("attribute", "<f8"), ("label", "<u2"), ("group", "<u2"), ("image", "<f8", (c, h, w))]
+    )
+
+
 def save(samples, dirpath):
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     c, h, w = samples[0].image.shape
+    if any(s.image.shape != (c, h, w) for s in samples):
+        raise ValueError("all samples must share one image shape")
+    records = np.empty(len(samples), dtype=record_dtype(c, h, w))
+    records["attribute"] = [s.attribute for s in samples]
+    records["image"] = [s.image for s in samples]
+    for name in ("label", "group"):  # as Python ints, which raise out of <u2 range, not wrap
+        records[name] = [operator.index(getattr(s, name)) for s in samples]
     with open(dirpath / "data.fmds", "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<H", VERSION))
-        f.write(struct.pack("<4I", len(samples), c, h, w))
-        for s in samples:
-            if s.image.shape != (c, h, w):
-                raise ValueError("all samples must share one image shape")
-            f.write(struct.pack("<d", s.attribute))
-            f.write(struct.pack("<2H", s.label, s.group))
-            f.write(s.image.astype("<f8").tobytes())
+        f.write(MAGIC + struct.pack("<H4I", VERSION, len(samples), c, h, w))
+        f.write(records.tobytes())
     with open(dirpath / "manifest.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["sample_id", "label", "group", "t"])
-        for i, s in enumerate(samples):
-            writer.writerow([i, s.label, s.group, repr(s.attribute)])
+        writer.writerows([i, s.label, s.group, repr(s.attribute)] for i, s in enumerate(samples))
 
 
 def load(dirpath):
     dirpath = Path(dirpath)
     path = dirpath / "data.fmds"
     raw = path.read_bytes()
-
-    def need(offset, count, what):
-        if offset + count > len(raw):
-            raise DatasetFormatError(
-                f"{path}: truncated while reading {what} at byte {offset}"
-            )
-
-    need(0, 4, "magic")
+    if len(raw) < HEADER_BYTES:
+        raise DatasetFormatError(
+            f"{path}: truncated inside the {HEADER_BYTES}-byte header at byte {len(raw)}"
+        )
     if raw[:4] != MAGIC:
         raise DatasetFormatError(f"{path}: bad magic {raw[:4]!r} at byte 0")
-    need(4, 2, "version")
-    (version,) = struct.unpack_from("<H", raw, 4)
+    version, n, c, h, w = struct.unpack_from("<H4I", raw, 4)
     if version != VERSION:
         raise DatasetFormatError(f"{path}: unsupported version {version} at byte 4")
-    need(6, 16, "header counts")
-    n, c, h, w = struct.unpack_from("<4I", raw, 6)
-    pix = c * h * w
-    offset = 22
-    samples = []
-    for _ in range(n):
-        need(offset, 12 + 8 * pix, f"sample {len(samples)}")
-        (t,) = struct.unpack_from("<d", raw, offset)
-        label, group = struct.unpack_from("<2H", raw, offset + 8)
-        if group >= N_GROUPS:
-            raise DatasetFormatError(
-                f"{path}: sample {len(samples)} has group {group}, not in [0, {N_GROUPS}), "
-                f"at byte {offset + 10}"
-            )
-        img = np.frombuffer(raw, dtype="<f8", count=pix, offset=offset + 12)
-        samples.append(
-            Sample(image=img.reshape(c, h, w).copy(), label=label, group=group, attribute=t)
+    size = record_dtype(0, 0, 0).itemsize + 8 * c * h * w  # the fixed fields, then pixels
+    whole = (len(raw) - HEADER_BYTES) // size
+    if whole < n:
+        raise DatasetFormatError(
+            f"{path}: truncated while reading sample {whole} at byte {HEADER_BYTES + whole * size}"
         )
-        offset += 12 + 8 * pix
-    if offset != len(raw):
-        raise DatasetFormatError(f"{path}: {len(raw) - offset} trailing bytes at byte {offset}")
+    end = HEADER_BYTES + n * size
+    if end != len(raw):
+        raise DatasetFormatError(f"{path}: {len(raw) - end} trailing bytes at byte {end}")
 
     manifest = dirpath / "manifest.csv"
     if manifest.exists():
         with open(manifest, newline="") as f:
-            rows = list(csv.DictReader(f))
-        if len(rows) != n:
+            rows = csv.reader(f)
+            next(rows, None)  # the header; like DictReader, count the non-blank rows after it
+            count = sum(1 for row in rows if row)
+        if count != n:
             raise DatasetFormatError(
-                f"{manifest}: manifest has {len(rows)} rows but header declares {n} samples"
+                f"{manifest}: manifest has {count} rows but header declares {n} samples"
             )
-    return samples
+    if n == 0:  # a header alone, whose c, h and w need not fit a dtype
+        return []
+    if max(c, h, w) >= 2**31:  # a dtype's shape holds C ints; only pixel-free images get here
+        raise DatasetFormatError(f"{path}: image shape {(c, h, w)} too large at byte 10")
+
+    records = np.frombuffer(raw, record_dtype(c, h, w), n, HEADER_BYTES)
+    bad = np.flatnonzero(records["group"] >= N_GROUPS)
+    if bad.size:
+        i = int(bad[0])
+        raise DatasetFormatError(
+            f"{path}: sample {i} has group {records['group'][i]}, not in [0, {N_GROUPS}), "
+            f"at byte {HEADER_BYTES + i * size + records.dtype.fields['group'][1]}"
+        )
+    columns = (records[name].tolist() for name in ("label", "group", "attribute"))
+    return [
+        Sample(image=image, label=label, group=group, attribute=t)
+        for image, label, group, t in zip(records["image"].copy(), *columns)
+    ]
 
 
 def split(samples, train_fraction, seed):

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+CSV_COLUMNS = ("sample_id", "true", "pred", "group")
+
 
 @dataclass
 class PredictionLog:
@@ -42,19 +44,14 @@ class PredictionLog:
     def write_csv(self, path):
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["sample_id", "true", "pred", "group"])
-            for row in zip(self.sample_ids, self.true_classes, self.predicted_classes, self.groups):
-                w.writerow([int(v) for v in row])
+            w.writerow(CSV_COLUMNS)
+            columns = (self.sample_ids, self.true_classes, self.predicted_classes, self.groups)
+            w.writerows(np.column_stack(columns).astype(np.intp).tolist())
 
     @classmethod
     def read_csv(cls, path):
         with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            rows = [
-                (int(r["sample_id"]), int(r["true"]), int(r["pred"]), int(r["group"]))
-                for r in reader
-            ]
-        return cls.from_rows(rows)
+            return cls.from_rows([[int(r[k]) for k in CSV_COLUMNS] for r in csv.DictReader(f)])
 
 
 @dataclass
@@ -82,17 +79,15 @@ def confusion(log, n_classes, n_groups):
     ):
         if arr.min() < 0 or arr.max() >= hi:
             raise ValueError(f"{name} index out of range [0, {hi})")
-    shape = (n_groups, n_classes)
-    tp, fp, tn, fn = (np.zeros(shape, dtype=np.int64) for _ in range(4))
-    for g in range(n_groups):
-        sel = log.groups == g
-        t, p = log.true_classes[sel], log.predicted_classes[sel]
-        for c in range(n_classes):
-            is_c, pred_c = t == c, p == c
-            tp[g, c] = np.sum(is_c & pred_c)
-            fp[g, c] = np.sum(~is_c & pred_c)
-            fn[g, c] = np.sum(is_c & ~pred_c)
-            tn[g, c] = np.sum(~is_c & ~pred_c)
+    # cells[g, t, p]: samples of group g with true class t predicted as p
+    flat = (log.groups * n_classes + log.true_classes) * n_classes + log.predicted_classes
+    cells = np.bincount(flat, minlength=n_groups * n_classes**2).reshape(
+        n_groups, n_classes, n_classes
+    )
+    tp = cells.diagonal(axis1=1, axis2=2).copy()
+    fn = cells.sum(axis=2) - tp
+    fp = cells.sum(axis=1) - tp
+    tn = cells.sum(axis=(1, 2))[:, None] - tp - fn - fp
     return GroupClassConfusion(tp, fp, tn, fn)
 
 
@@ -136,19 +131,14 @@ def group_prf1(conf):
     # entirely absent for the group, which excludes it from the macro mean
     f1 = _rate(2 * conf.tp, 2 * conf.tp + conf.fp + conf.fn)
 
-    per_group = {}
-    for g in range(conf.n_groups):
-        per_group[g] = {
-            "precision": float(np.nanmean(precision[g])),
-            "recall": float(np.nanmean(recall[g])),
-            "f1": float(np.nanmean(f1[g])),
-        }
-    avg = {k: float(np.mean([per_group[g][k] for g in per_group])) for k in ("precision", "recall", "f1")}
+    rates = {"precision": precision, "recall": recall, "f1": f1}
+    per_group = {
+        g: {k: float(np.nanmean(r[g])) for k, r in rates.items()} for g in range(conf.n_groups)
+    }
+    avg = {k: float(np.mean([per_group[g][k] for g in per_group])) for k in rates}
     result = {"per_group": per_group, "avg": avg}
     if conf.n_groups == 2:
-        result["diff"] = {
-            k: abs(per_group[0][k] - per_group[1][k]) for k in ("precision", "recall", "f1")
-        }
+        result["diff"] = {k: abs(per_group[0][k] - per_group[1][k]) for k in rates}
     return result
 
 

@@ -169,11 +169,6 @@ class CheckpointFormatError(ValueError):
     pass
 
 
-def _write_blob(f, payload: bytes):
-    f.write(struct.pack("<I", len(payload)))
-    f.write(payload)
-
-
 def save_checkpoint(path, model, stats, step, rng_state, train_config=None):
     meta = {
         "model_config": model.config.to_dict(),
@@ -184,10 +179,9 @@ def save_checkpoint(path, model, stats, step, rng_state, train_config=None):
         "param_order": model.params.paths(),
         "param_shapes": {p: list(t.shape) for p, t in model.params.items()},
     }
+    blob = json.dumps(meta, sort_keys=True).encode()
     with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<H", CKPT_VERSION))
-        _write_blob(f, json.dumps(meta, sort_keys=True).encode())
+        f.write(CKPT_MAGIC + struct.pack("<HI", CKPT_VERSION, len(blob)) + blob)
         for _, t in model.params.items():
             f.write(t.data.astype("<f8").tobytes())
 

@@ -272,15 +272,18 @@ def expert_conv2d(x, experts, chosen, stride=1, padding=0):
     ow = (w + 2 * padding - kw) // stride + 1
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))  # (n, cin, kh, kw, oh, ow)
+
+    def unfold(rows):  # contiguous (nk, cin, kh, kw, oh, ow), the GEMM's operand
+        win = sliding_window_view(rows, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+        return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
+
     # later reductions sum in memory order, so each output layout is part of the bits:
     # one expert keeps the GEMM's (cout, n, oh, ow)-major memory, dispatch is C-ordered
     if chosen is None:
-        runs = [(slice(None), kernel, bias, cols)]
+        runs = [(slice(None), kernel, bias, unfold(xp))]
     else:
         rows = (np.flatnonzero(chosen == e) for e in range(len(experts)))
-        runs = [(idx, k, b, cols[idx]) for idx, (k, b) in zip(rows, experts) if idx.size]
+        runs = [(idx, k, b, unfold(xp[idx])) for idx, (k, b) in zip(rows, experts) if idx.size]
         data = np.empty((n, cout, oh, ow), dtype=np.float64)
     for idx, k, b, ck in runs:
         y = np.tensordot(k.data, ck, axes=([1, 2, 3], [1, 2, 3])).transpose(1, 0, 2, 3)

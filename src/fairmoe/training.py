@@ -11,7 +11,7 @@ import numpy as np
 from . import data as data_mod
 from .fairness import PredictionLog, build_report, fate
 from .model import build_model, save_checkpoint
-from .moe import ROUTING_MODES, selection_probabilities
+from .moe import ROUTING_MODES
 from .objectives import LossConfig, estimate_joint, total_loss
 from .tensor import Tensor
 
@@ -67,8 +67,9 @@ class Adam:
             tensor.data -= self.lr * mh / (np.sqrt(vh) + ADAM_EPS)
 
 
-def _check_labels(labels, n_classes):
+def check_labels(labels, n_classes):
     """Every label must index one of the model's ``n_classes`` outputs."""
+    labels = np.asarray(labels)
     bad = np.flatnonzero((labels < 0) | (labels >= n_classes))
     if bad.size:
         i = bad[0]
@@ -82,7 +83,7 @@ def train(model, samples, stats, cfg, log_path=None):
     state owner, for checkpointing.
     """
     images, labels, groups, _ = data_mod.stack(samples)
-    _check_labels(labels, model.config.n_classes)
+    check_labels(labels, model.config.n_classes)
     n = len(samples)
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.params, lr=cfg.learning_rate)
@@ -148,7 +149,7 @@ def run_training(model_config, train_samples, stats, cfg, out_dir=None):
 def evaluate(model, samples, stats, mode="argmax", baseline_report=None, baseline_name=None):
     """Returns (PredictionLog, FairnessReport, routing batches); sampled routing uses seed 0."""
     images, labels, groups, _ = data_mod.stack(samples)
-    _check_labels(labels, model.config.n_classes)
+    check_labels(labels, model.config.n_classes)
     rng = np.random.default_rng(0)
     preds, batches = [], []
     bs = 256
@@ -162,12 +163,12 @@ def evaluate(model, samples, stats, mode="argmax", baseline_report=None, baselin
             sample_ids=np.arange(start, min(start + bs, len(samples))),
             groups=groups[sl],
         )
-        preds.extend(np.argmax(logits.data, axis=1))
+        preds.append(np.argmax(logits.data, axis=1))
         batches.extend(layer_batches)
     log = PredictionLog(
         sample_ids=np.arange(len(samples)),
         true_classes=labels,
-        predicted_classes=np.asarray(preds, dtype=np.intp),
+        predicted_classes=np.concatenate(preds),
         groups=groups,
     )
     report = build_report(
@@ -260,38 +261,29 @@ def ablate_moe_layers(base_config, train_samples, test_samples, stats, cfg, seed
 def router_depth_report(model, test_samples, train_samples, stats, score_kind="softmax"):
     """Per MoE layer and group: mean router score given to the group's own expert.
 
-    The group->expert assignment maximizes P(E|C) on the training set;
-    ``score_kind`` selects raw softmax scores or balanced probabilities.
+    The group->expert assignment maximizes P(E|C), the mean balanced
+    probability, on the training set whatever ``score_kind`` is;
+    ``score_kind`` selects the reported score: raw softmax scores or
+    balanced probabilities.
     """
     if not model.moe_layer_indices:
         raise ValueError("model has no MoE layers to report on")
 
-    def layer_scores(samples):
+    def layer_batches(samples):
         images, _, groups, _ = data_mod.stack(samples)
         _, batches, _ = model.forward(Tensor(images), stats, mode="argmax")
-        kind = "scores" if score_kind == "softmax" else "probabilities"
-        return {b.layer_index: getattr(b, kind) for b in batches}, groups
+        return {b.layer_index: b for b in batches}, groups
 
-    train_scores, train_groups = layer_scores(train_samples)
-    # own expert per group: argmax of P(E|C_j) estimated on training data
-    expert_of_group = {}
-    for layer_idx, sc in train_scores.items():
-        probs = selection_probabilities(Tensor(sc), stats).data
-        per_group = [probs[train_groups == g].mean(axis=0) for g in range(stats.m)]
-        expert_of_group[layer_idx] = [int(np.argmax(v)) for v in per_group]
-
-    test_scores, test_groups = layer_scores(test_samples)
+    train_batches, train_groups = layer_batches(train_samples)
+    test_batches, test_groups = layer_batches(test_samples)
+    kind = "scores" if score_kind == "softmax" else "probabilities"
     rows = []
-    for layer_idx in sorted(test_scores):
+    for layer_idx in sorted(test_batches):
+        train_probs = train_batches[layer_idx].probabilities
+        scores = getattr(test_batches[layer_idx], kind)
         for g in range(stats.m):
-            own = expert_of_group[layer_idx][g]
-            mean_score = float(test_scores[layer_idx][test_groups == g][:, own].mean())
-            rows.append(
-                {
-                    "layer_index": layer_idx,
-                    "group": g,
-                    "own_expert": own,
-                    "mean_own_score": mean_score,
-                }
-            )
+            own = int(np.argmax(train_probs[train_groups == g].mean(axis=0)))
+            mean_score = float(scores[test_groups == g][:, own].mean())
+            rows.append({"layer_index": layer_idx, "group": g, "own_expert": own,
+                         "mean_own_score": mean_score})
     return rows

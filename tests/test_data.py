@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,47 @@ def test_dataset_group_out_of_range_names_sample_and_byte(small_fmds):
     (dirpath / "data.fmds").write_bytes(bytes(mutated))
     with pytest.raises(DatasetFormatError, match=f"sample 1 has group 2.*byte {group_at}"):
         load(dirpath)
+
+
+def test_header_only_dataset_loads_whatever_its_image_shape(tmp_path):
+    (tmp_path / "data.fmds").write_bytes(dm.MAGIC + struct.pack("<H4I", 1, 0, 2**31, 4, 4))
+    assert load(tmp_path) == []
+
+
+def test_pixel_free_image_with_huge_dimension_raises_format_error(tmp_path):
+    header = dm.MAGIC + struct.pack("<H4I", 1, 1, 2**31, 0, 4)
+    (tmp_path / "data.fmds").write_bytes(header + struct.pack("<d2H", 0.5, 0, 0))
+    with pytest.raises(DatasetFormatError, match="image shape.*byte 10"):
+        load(tmp_path)
+
+
+def test_save_writes_the_struct_packed_record_layout(tmp_path):
+    samples, _ = generate(SynthConfig(n_samples=6, channels=2, height=5, width=7, seed=2))
+    save(samples, tmp_path / "d")
+    ref = dm.MAGIC + struct.pack("<H4I", 1, 6, 2, 5, 7)
+    for s in samples:
+        ref += struct.pack("<d2H", s.attribute, s.label, s.group) + s.image.astype("<f8").tobytes()
+    assert (tmp_path / "d" / "data.fmds").read_bytes() == ref
+    back = load(tmp_path / "d")
+    assert datasets_equal(back, samples)
+    assert all(type(s.label) is int and type(s.group) is int and type(s.attribute) is float
+               for s in back)
+
+
+@pytest.mark.parametrize("label", [np.int64(70000), -1])
+def test_save_rejects_label_outside_u16(tmp_path, label):
+    samples, _ = generate(SynthConfig(n_samples=3, height=4, width=4, seed=2))
+    samples[1].label = label
+    with pytest.raises((OverflowError, struct.error)):
+        save(samples, tmp_path / "d")
+
+
+def test_manifest_blank_rows_do_not_count(tmp_path):
+    samples, _ = generate(SynthConfig(n_samples=5, seed=8))
+    save(samples, tmp_path / "d")
+    manifest = tmp_path / "d" / "manifest.csv"
+    manifest.write_text(manifest.read_text() + "\r\n\r\n")
+    assert datasets_equal(load(tmp_path / "d"), samples)
 
 
 def test_split_sizes():

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,37 @@ def test_confusion_sums_over_groups_match_group_agnostic():
         np.testing.assert_array_equal(
             getattr(split_conf, fld).sum(axis=0), getattr(whole, fld)[0]
         )
+
+
+def _loop_confusion(log, n_classes, n_groups):
+    """Reference: one-vs-rest counts by a loop over every (group, class) cell."""
+    counts = {k: np.zeros((n_groups, n_classes), dtype=np.int64) for k in ("tp", "fp", "tn", "fn")}
+    for g in range(n_groups):
+        sel = log.groups == g
+        t, p = log.true_classes[sel], log.predicted_classes[sel]
+        for c in range(n_classes):
+            counts["tp"][g, c] = np.sum((t == c) & (p == c))
+            counts["fp"][g, c] = np.sum((t != c) & (p == c))
+            counts["tn"][g, c] = np.sum((t != c) & (p != c))
+            counts["fn"][g, c] = np.sum((t == c) & (p != c))
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5), st.integers(1, 3), st.integers(1, 60), st.integers(0, 2**32 - 1)
+)
+def test_confusion_matches_loop_oracle(n_classes, n_groups, n, seed):
+    rng = np.random.default_rng(seed)
+    log = PredictionLog(
+        np.arange(n), rng.integers(0, n_classes, n), rng.integers(0, n_classes, n),
+        rng.integers(0, n_groups, n),
+    )
+    conf = confusion(log, n_classes, n_groups)
+    for name, expected in _loop_confusion(log, n_classes, n_groups).items():
+        got = getattr(conf, name)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_confusion_rejects_out_of_range():
@@ -204,6 +237,20 @@ def test_prediction_log_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.true_classes, log.true_classes)
     np.testing.assert_array_equal(back.predicted_classes, log.predicted_classes)
     np.testing.assert_array_equal(back.groups, log.groups)
+
+
+def test_prediction_log_csv_bytes_match_per_row_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    n = 300
+    log = PredictionLog(rng.permutation(n), rng.integers(0, 4, n), rng.integers(0, 4, n),
+                        rng.integers(0, 2, n))
+    log.write_csv(tmp_path / "pred.csv")
+    with open(tmp_path / "ref.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["sample_id", "true", "pred", "group"])
+        for row in zip(log.sample_ids, log.true_classes, log.predicted_classes, log.groups):
+            w.writerow([int(v) for v in row])
+    assert (tmp_path / "pred.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_prediction_log_rejects_duplicate_ids():

@@ -328,6 +328,19 @@ def test_router_depth_report_uniform_at_init(dataset):
         assert r["mean_own_score"] == 0.5  # zero-init router head
 
 
+def test_route_report_assigns_own_expert_from_balanced_probabilities(dataset):
+    train_s, test_s, _ = dataset
+    stats = GroupStats(np.array([200.0, 100.0]))
+    model = build_model(ModelConfig(moe_flags=(False, False, False, True)), seed=0)
+    # dense weights start at zero, so every sample scores (0.7, 0.3) and P(E|C) favours expert 0
+    model.params["layer3.router.dense.bias"].data[:] = np.log([0.7, 0.3])
+    balanced = (0.7 / 200) / (0.7 / 200 + 0.3 / 100)
+    for kind, score in (("softmax", 0.7), ("balanced", balanced)):
+        rows = router_depth_report(model, test_s, train_s, stats, score_kind=kind)
+        assert [r["own_expert"] for r in rows] == [0, 0], kind
+        assert [r["mean_own_score"] for r in rows] == pytest.approx([score, score])
+
+
 def test_cli_end_to_end(tmp_path, capsys):
     config = {
         "synth": {"n_samples": 200, "seed": 0},
@@ -387,6 +400,18 @@ def test_cli_rejects_unknown_config_keys(tmp_path, command, section, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("key", ["train_fracton", "ablation_seed"])
+def test_cli_rejects_unknown_top_level_config_keys(tmp_path, command, key):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"train": {"epochs": 1}, key: 0.7}))
+    argv = [command, "--config", str(cfg_path), "--data", str(tmp_path / "no-data"),
+            "--out", str(tmp_path / "out")]
+    with pytest.raises(ValueError, match=f"config has unknown key '{key}'"):
+        cli_main(argv)
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_config_rejects_unknown_modes():
     with pytest.raises(ValueError, match="routing_mode 'mix'.*sample"):
         TrainConfig(routing_mode="mix")
@@ -434,7 +459,7 @@ def test_route_report_uses_config_split(tmp_path, monkeypatch, capsys):
         return s.image.tobytes(), s.label, s.group
 
     ckpt = str(run_dir / "checkpoint.fmck")
-    all_keys = {key(s) for s in cli._load_dataset(data_dir)[0]}
+    all_keys = {key(s) for s in load(data_dir)}
     trained = {key(s) for s in seen["train"]}
     for extra, same_split in ((["--config", str(cfg_path)], True), ([], False)):
         cli_main(["route-report", "--checkpoint", ckpt, "--data", str(data_dir),
@@ -464,4 +489,25 @@ def test_out_of_range_label_names_sample_and_class_count(tmp_path, capsys):
     with pytest.raises(ValueError, match=message):
         run_training(cfg, load(data_dir), stats, TrainConfig(epochs=1))
     assert not (tmp_path / "eval").exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_cli_label_check_names_the_file_index(tmp_path, command, capsys):
+    samples, _ = generate(SynthConfig(n_samples=40, seed=3))
+    data_dir = tmp_path / "data"
+    save(samples, data_dir)
+    raw = bytearray((data_dir / "data.fmds").read_bytes())
+    label_at = 22 + 39 * (12 + 8 * 16 * 16) + 8  # sample 39's label field
+    raw[label_at : label_at + 2] = (9).to_bytes(2, "little")
+    (data_dir / "data.fmds").write_bytes(bytes(raw))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"blocks": list(SMALL_BLOCKS), "moe_flags": [False, True]},
+        "train": {"epochs": 1},
+    }))
+    with pytest.raises(ValueError, match=r"sample at position 39 has label 9, not in \[0, 4\)"):
+        cli_main([command, "--config", str(cfg_path), "--data", str(data_dir),
+                  "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
     capsys.readouterr()
