@@ -25,7 +25,7 @@ from .fairness import (
     fate,
     group_prf1,
 )
-from .data import Sample, SynthConfig, generate, load, save, split
+from .data import Dataset, Sample, SynthConfig, generate, load, save, split
 from .model import Model, ModelConfig, build_model, load_checkpoint, save_checkpoint
 from .training import TrainConfig, ablate_moe_layers, evaluate, router_depth_report, train
 

@@ -53,10 +53,10 @@ def _section(doc, name, cls):
 
 
 def _load_dataset(data_dir, n_classes):
-    """The file's samples and group stats; labels are checked, by file index, before any split."""
+    """The file's ``Dataset`` and group stats; labels are checked, by file index, before a split."""
     samples = data_mod.load(data_dir)
-    check_labels([s.label for s in samples], n_classes)
-    stats = GroupStats.from_labels([s.group for s in samples], m=data_mod.N_GROUPS)
+    check_labels(samples.labels, n_classes)
+    stats = GroupStats.from_labels(samples.groups, m=data_mod.N_GROUPS)
     return samples, stats
 
 

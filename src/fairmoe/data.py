@@ -6,17 +6,19 @@ cases.  Rendering blends two class-template banks across t and scales by
 an attribute-dependent gain, so the optimal decision rule shifts with t
 and group-specific experts have something real to specialize on.
 
-On disk a dataset is a directory holding ``data.fmds`` (fixed-endian
-binary, bit-exact round trips) plus a human-readable ``manifest.csv``.
+In memory a dataset is one ``Dataset`` of columns whose images live in
+one shared array, so slices and splits copy no pixels.  On disk it is a
+directory holding ``data.fmds`` (fixed-endian binary, bit-exact round
+trips) plus a human-readable ``manifest.csv``.
 """
 
 from __future__ import annotations
 
 import csv
-import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,14 +28,55 @@ MAGIC = b"FMDS"
 VERSION = 1
 HEADER_BYTES = 22  # magic, <H version, <4I n, c, h, w
 N_GROUPS = 2  # the attribute threshold splits samples into groups 0 and 1
+CHUNK = 256  # samples per block of draws in ``generate``; bounds its temporaries
 
 
-@dataclass
-class Sample:
-    image: np.ndarray  # (C, H, W) float64 in [0, 1]
+class Sample(NamedTuple):
+    """One row of a ``Dataset``."""
+
+    image: np.ndarray  # (C, H, W) float64 in [0, 1], a view of the dataset's pixels
     label: int
     group: int
     attribute: float
+
+
+class Dataset:
+    """A dataset as columns, one entry per row; the images stay in one shared array.
+
+    ``pixels`` is an (M, C, H, W) float64 array that every slice and split
+    of a dataset shares, and ``rows`` (N,) picks this dataset's images from
+    it.  ``labels`` and ``groups`` are (N,) intp, ``attributes`` (N,)
+    float64.  An int index returns a ``Sample``; a slice, an index array or
+    a mask returns a ``Dataset`` over the same pixels.  Iteration yields
+    ``Sample`` rows.
+    """
+
+    def __init__(self, pixels, labels, groups, attributes, rows=None):
+        self.pixels = pixels
+        self.rows = np.arange(len(pixels)) if rows is None else np.asarray(rows, dtype=np.intp)
+        self.labels = np.asarray(labels, dtype=np.intp)
+        self.groups = np.asarray(groups, dtype=np.intp)
+        self.attributes = np.asarray(attributes, dtype=np.float64)
+        if not len(self.rows) == len(self.labels) == len(self.groups) == len(self.attributes):
+            raise ValueError("rows, labels, groups and attributes must have one entry per row")
+
+    def __len__(self):
+        return len(self.rows)
+
+    def images(self, idx=slice(None)):
+        """The images of the rows ``idx`` picks, gathered into one new (n, C, H, W) array."""
+        return self.pixels[self.rows[idx]]
+
+    def __getitem__(self, idx):
+        if isinstance(idx, (int, np.integer)):
+            return Sample(self.pixels[self.rows[idx]], int(self.labels[idx]),
+                          int(self.groups[idx]), float(self.attributes[idx]))
+        return Dataset(self.pixels, self.labels[idx], self.groups[idx], self.attributes[idx],
+                       rows=self.rows[idx])
+
+    def __iter__(self):
+        columns = (self.labels.tolist(), self.groups.tolist(), self.attributes.tolist())
+        return (Sample(self.pixels[r], *row) for r, *row in zip(self.rows.tolist(), *columns))
 
 
 @dataclass
@@ -89,21 +132,32 @@ def class_templates(config):
 
 
 def generate(config):
-    """Draw a dataset from the config; identical config+seed is bit-identical."""
+    """Draw a ``Dataset`` from the config; identical config+seed is bit-identical.
+
+    The stream is that of a per-sample loop of ``rng.choice(K, p=prior)``
+    and ``rng.uniform(lo, hi, (C, H, W))``, taken one ``rng.random`` block
+    per ``CHUNK`` samples.
+    """
     rng = np.random.default_rng(config.seed)
     low, high = class_templates(config)
-    t = rng.uniform(0.0, 1.0, size=config.n_samples)
+    n, shape = config.n_samples, low.shape[1:]
+    t = rng.uniform(0.0, 1.0, size=n)
     groups = (t >= config.threshold).astype(np.intp)
-    priors = np.asarray(config.class_priors)
-    samples = []
-    for i in range(config.n_samples):
-        y = int(rng.choice(config.n_classes, p=priors[groups[i]]))
-        base = (1.0 - t[i]) * low[y] + t[i] * high[y]
-        noise = rng.uniform(-config.noise_sigma, config.noise_sigma, size=base.shape)
-        img = np.clip(gain(t[i]) * base + noise, 0.0, 1.0)
-        samples.append(Sample(image=img, label=y, group=int(groups[i]), attribute=float(t[i])))
-    stats = GroupStats.from_labels([s.group for s in samples], m=N_GROUPS)
-    return samples, stats
+    cdf = np.cumsum(np.asarray(config.class_priors, dtype=np.float64), axis=1)
+    cdf /= cdf[:, -1:]
+    lo, hi = -config.noise_sigma, config.noise_sigma
+    labels = np.empty(n, dtype=np.intp)
+    images = np.empty((n, *shape))
+    for start in range(0, n, CHUNK):
+        rows = slice(start, min(start + CHUNK, n))
+        u = rng.random((rows.stop - start, 1 + low[0].size))
+        # choice's cdf.searchsorted(u, side="right"), and uniform's lo + (hi - lo) * u
+        labels[rows] = (u[:, :1] >= cdf[groups[rows]]).sum(axis=1)
+        y, tt = labels[rows], t[rows, None, None, None]
+        base = (1.0 - tt) * low[y] + tt * high[y]
+        noise = lo + (hi - lo) * u[:, 1:].reshape(-1, *shape)
+        np.clip(gain(tt) * base + noise, 0.0, 1.0, out=images[rows])
+    return Dataset(images, labels, groups, t), GroupStats.from_labels(groups, m=N_GROUPS)
 
 
 # ---- on-disk format ------------------------------------------------------
@@ -120,24 +174,35 @@ def record_dtype(c, h, w):
     )
 
 
-def save(samples, dirpath):
+def save(ds, dirpath):
+    """Write ``data.fmds`` and ``manifest.csv``.
+
+    Before writing, names the first sample whose label the ``<u2`` field
+    cannot hold (``OverflowError``) or whose group ``load`` would refuse
+    (``ValueError``).
+    """
+    for name, limit, error in (("label", 2**16, OverflowError), ("group", N_GROUPS, ValueError)):
+        values = getattr(ds, name + "s")
+        bad = np.flatnonzero((values < 0) | (values >= limit))
+        if bad.size:
+            i = bad[0]
+            raise error(f"sample {i} has {name} {values[i]}, not in [0, {limit})")
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    c, h, w = samples[0].image.shape
-    if any(s.image.shape != (c, h, w) for s in samples):
-        raise ValueError("all samples must share one image shape")
-    records = np.empty(len(samples), dtype=record_dtype(c, h, w))
-    records["attribute"] = [s.attribute for s in samples]
-    records["image"] = [s.image for s in samples]
-    for name in ("label", "group"):  # as Python ints, which raise out of <u2 range, not wrap
-        records[name] = [operator.index(getattr(s, name)) for s in samples]
+    c, h, w = ds.pixels.shape[1:]
+    records = np.empty(len(ds), dtype=record_dtype(c, h, w))
+    records["attribute"] = ds.attributes
+    records["label"] = ds.labels
+    records["group"] = ds.groups
+    records["image"] = ds.images()
     with open(dirpath / "data.fmds", "wb") as f:
-        f.write(MAGIC + struct.pack("<H4I", VERSION, len(samples), c, h, w))
+        f.write(MAGIC + struct.pack("<H4I", VERSION, len(ds), c, h, w))
         f.write(records.tobytes())
     with open(dirpath / "manifest.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["sample_id", "label", "group", "t"])
-        writer.writerows([i, s.label, s.group, repr(s.attribute)] for i, s in enumerate(samples))
+        writer.writerows(zip(range(len(ds)), ds.labels.tolist(), ds.groups.tolist(),
+                             map(repr, ds.attributes.tolist())))
 
 
 def load(dirpath):
@@ -174,7 +239,7 @@ def load(dirpath):
                 f"{manifest}: manifest has {count} rows but header declares {n} samples"
             )
     if n == 0:  # a header alone, whose c, h and w need not fit a dtype
-        return []
+        return Dataset(np.empty((0, c, h, w)), [], [], [])
     if max(c, h, w) >= 2**31:  # a dtype's shape holds C ints; only pixel-free images get here
         raise DatasetFormatError(f"{path}: image shape {(c, h, w)} too large at byte 10")
 
@@ -186,47 +251,36 @@ def load(dirpath):
             f"{path}: sample {i} has group {records['group'][i]}, not in [0, {N_GROUPS}), "
             f"at byte {HEADER_BYTES + i * size + records.dtype.fields['group'][1]}"
         )
-    columns = (records[name].tolist() for name in ("label", "group", "attribute"))
-    return [
-        Sample(image=image, label=label, group=group, attribute=t)
-        for image, label, group, t in zip(records["image"].copy(), *columns)
-    ]
+    return Dataset(records["image"].copy(), records["label"], records["group"],
+                   records["attribute"].copy())
 
 
-def split(samples, train_fraction, seed):
-    """Deterministic split stratified by (group, class); disjoint and exhaustive."""
+def split(ds, train_fraction, seed):
+    """Deterministic split stratified by (group, class); disjoint and exhaustive.
+
+    One ``rng.permutation`` per stratum, in sorted (group, class) order;
+    both parts keep ``ds``'s row order and share its pixels.
+    """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    strata = {}
-    for i, s in enumerate(samples):
-        strata.setdefault((s.group, s.label), []).append(i)
+    order = np.lexsort((ds.labels, ds.groups))  # stable: by (group, class), then by row
+    g, y = ds.groups[order], ds.labels[order]
+    members = np.split(order, np.flatnonzero((np.diff(g) != 0) | (np.diff(y) != 0)) + 1)
 
-    target = round(train_fraction * len(samples))
-    quota, remainders = {}, []
-    for key, idx in sorted(strata.items()):
-        exact = train_fraction * len(idx)
-        quota[key] = int(np.floor(exact))
-        remainders.append((exact - quota[key], key))
-    short = target - sum(quota.values())
-    for _, key in sorted(remainders, reverse=True)[:short]:
-        quota[key] += 1
+    exact = [train_fraction * len(idx) for idx in members]
+    quota = [int(np.floor(e)) for e in exact]
+    short = round(train_fraction * len(ds)) - sum(quota)
+    remainders = sorted(((e - q, k) for k, (e, q) in enumerate(zip(exact, quota))), reverse=True)
+    for _, k in remainders[:short]:
+        quota[k] += 1
 
-    train_idx, test_idx = [], []
-    for key, idx in sorted(strata.items()):
-        perm = rng.permutation(len(idx))
-        take = quota[key]
-        train_idx.extend(idx[j] for j in perm[:take])
-        test_idx.extend(idx[j] for j in perm[take:])
-    train_idx.sort()
-    test_idx.sort()
-    return [samples[i] for i in train_idx], [samples[i] for i in test_idx]
+    in_train = np.zeros(len(ds), dtype=bool)
+    for idx, take in zip(members, quota):
+        in_train[idx[rng.permutation(len(idx))[:take]]] = True
+    return ds[np.flatnonzero(in_train)], ds[np.flatnonzero(~in_train)]
 
 
-def stack(samples):
-    """(images (N,C,H,W), labels, groups, attributes) arrays from a sample list."""
-    images = np.stack([s.image for s in samples])
-    labels = np.array([s.label for s in samples], dtype=np.intp)
-    groups = np.array([s.group for s in samples], dtype=np.intp)
-    attrs = np.array([s.attribute for s in samples])
-    return images, labels, groups, attrs
+def stack(ds):
+    """(images (N,C,H,W), labels, groups, attributes): images gathered, columns as they are."""
+    return ds.images(), ds.labels, ds.groups, ds.attributes

@@ -381,10 +381,3 @@ class ParamSet:
     def zero_grad(self):
         for t in self._params.values():
             t.grad = np.zeros_like(t.data)
-
-    def grads(self):
-        """Gradient map; unused leaves report exact zeros."""
-        return {
-            path: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for path, t in self._params.items()
-        }

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data as data_mod
 from .fairness import PredictionLog, build_report, fate
 from .model import build_model, save_checkpoint
 from .moe import ROUTING_MODES
@@ -55,6 +54,10 @@ class Adam:
         self.v = {p: np.zeros_like(t.data) for p, t in params.items()}
 
     def step(self):
+        """One update; a non-finite gradient raises ``TrainingDiverged`` before any write."""
+        for p, tensor in self.params.items():
+            if tensor.grad is not None and not np.isfinite(tensor.grad).all():
+                raise TrainingDiverged(f"non-finite gradient in {p} at step {self.t}")
         self.t += 1
         for p, tensor in self.params.items():
             g = tensor.grad
@@ -82,7 +85,7 @@ def train(model, samples, stats, cfg, log_path=None):
     Returns (log_rows, rng) where rng is the generator's end-of-training
     state owner, for checkpointing.
     """
-    images, labels, groups, _ = data_mod.stack(samples)
+    labels, groups = samples.labels, samples.groups
     check_labels(labels, model.config.n_classes)
     n = len(samples)
     rng = np.random.default_rng(cfg.seed)
@@ -95,7 +98,7 @@ def train(model, samples, stats, cfg, log_path=None):
         epoch_parts, correct, seen = [], 0, 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            x = Tensor(images[idx])
+            x = Tensor(samples.images(idx))
             y, g = labels[idx], groups[idx]
             logits, _, probs_by_layer = model.forward(
                 x, stats, mode=cfg.routing_mode, rng=rng, groups=g
@@ -148,7 +151,7 @@ def run_training(model_config, train_samples, stats, cfg, out_dir=None):
 
 def evaluate(model, samples, stats, mode="argmax", baseline_report=None, baseline_name=None):
     """Returns (PredictionLog, FairnessReport, routing batches); sampled routing uses seed 0."""
-    images, labels, groups, _ = data_mod.stack(samples)
+    labels, groups = samples.labels, samples.groups
     check_labels(labels, model.config.n_classes)
     rng = np.random.default_rng(0)
     preds, batches = [], []
@@ -156,7 +159,7 @@ def evaluate(model, samples, stats, mode="argmax", baseline_report=None, baselin
     for start in range(0, len(samples), bs):
         sl = slice(start, start + bs)
         logits, layer_batches, _ = model.forward(
-            Tensor(images[sl]),
+            Tensor(samples.images(sl)),
             stats,
             mode=mode,
             rng=rng,
@@ -270,9 +273,8 @@ def router_depth_report(model, test_samples, train_samples, stats, score_kind="s
         raise ValueError("model has no MoE layers to report on")
 
     def layer_batches(samples):
-        images, _, groups, _ = data_mod.stack(samples)
-        _, batches, _ = model.forward(Tensor(images), stats, mode="argmax")
-        return {b.layer_index: b for b in batches}, groups
+        _, batches, _ = model.forward(Tensor(samples.images()), stats, mode="argmax")
+        return {b.layer_index: b for b in batches}, samples.groups
 
     train_batches, train_groups = layer_batches(train_samples)
     test_batches, test_groups = layer_batches(test_samples)

@@ -2,9 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairmoe import data as dm
 from fairmoe.data import DatasetFormatError, SynthConfig, generate, load, save, split
+from reference_data import generate_rows, split_indices
 
 
 def datasets_equal(a, b):
@@ -155,7 +158,7 @@ def test_dataset_group_out_of_range_names_sample_and_byte(small_fmds):
 
 def test_header_only_dataset_loads_whatever_its_image_shape(tmp_path):
     (tmp_path / "data.fmds").write_bytes(dm.MAGIC + struct.pack("<H4I", 1, 0, 2**31, 4, 4))
-    assert load(tmp_path) == []
+    assert len(load(tmp_path)) == 0
 
 
 def test_pixel_free_image_with_huge_dimension_raises_format_error(tmp_path):
@@ -181,9 +184,27 @@ def test_save_writes_the_struct_packed_record_layout(tmp_path):
 @pytest.mark.parametrize("label", [np.int64(70000), -1])
 def test_save_rejects_label_outside_u16(tmp_path, label):
     samples, _ = generate(SynthConfig(n_samples=3, height=4, width=4, seed=2))
-    samples[1].label = label
+    samples.labels[1] = label
     with pytest.raises((OverflowError, struct.error)):
         save(samples, tmp_path / "d")
+
+
+@pytest.mark.parametrize("label", [70000, -1])
+def test_save_names_the_sample_whose_label_overflows(tmp_path, label):
+    samples, _ = generate(SynthConfig(n_samples=4, height=4, width=4, seed=2))
+    samples.labels[2] = label
+    with pytest.raises(OverflowError, match=f"sample 2 has label {label}, not in \\[0, 65536\\)"):
+        save(samples, tmp_path / "d")
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("group", [2, -1])
+def test_save_rejects_group_that_load_would_refuse(tmp_path, group):
+    samples, _ = generate(SynthConfig(n_samples=4, height=4, width=4, seed=2))
+    samples.groups[3] = group
+    with pytest.raises(ValueError, match=f"sample 3 has group {group}, not in \\[0, 2\\)"):
+        save(samples, tmp_path / "d")
+    assert not (tmp_path / "d").exists()
 
 
 def test_manifest_blank_rows_do_not_count(tmp_path):
@@ -220,7 +241,7 @@ def test_split_deterministic_disjoint_exhaustive():
     t1, e1 = split(samples, 0.7, seed=5)
     t2, e2 = split(samples, 0.7, seed=5)
     assert datasets_equal(t1, t2) and datasets_equal(e1, e2)
-    ids = lambda ds: {id(s) for s in ds}
+    ids = lambda ds: set(ds.rows.tolist())
     assert ids(t1).isdisjoint(ids(e1))
     assert len(t1) + len(e1) == len(samples)
 
@@ -259,3 +280,101 @@ def test_group_conditional_distribution_shift():
         other_far = (groups == 1 - g) & (np.abs(attrs - 0.5) >= 0.25)
         assert np.mean(clf(images[other_far]) == labels[other_far]) < 0.5
     assert worst_cross_band < 0.9
+
+
+# ---- the columnar Dataset against the per-sample reference -------------
+
+
+@st.composite
+def synth_configs(draw):
+    k = draw(st.integers(2, 6))
+    weights = st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(any)
+    priors = [draw(weights) for _ in range(2)]
+    threshold = draw(st.floats(0.05, 0.95))
+    return SynthConfig(
+        n_samples=draw(st.integers(1, 2 * dm.CHUNK + 40)),
+        channels=draw(st.integers(1, 3)),
+        height=draw(st.integers(1, 9)),
+        width=draw(st.integers(1, 9)),
+        n_classes=k,
+        threshold=threshold,
+        boundary_halfwidth=threshold / 2,
+        class_priors=tuple(tuple(np.divide(p, sum(p)).tolist()) for p in priors),
+        noise_sigma=draw(st.floats(0.0, 0.5)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=synth_configs(), fraction=st.floats(0.01, 0.99), split_seed=st.integers(0, 2**32 - 1))
+@example(cfg=SynthConfig(n_samples=dm.CHUNK - 1, seed=4), fraction=0.8, split_seed=0)
+@example(cfg=SynthConfig(n_samples=2 * dm.CHUNK + 7, channels=2, height=9, width=13, seed=5),
+         fraction=0.33, split_seed=1)
+def test_generate_and_split_equal_the_per_sample_reference(cfg, fraction, split_seed):
+    rows = generate_rows(cfg)
+    if len({r[2] for r in rows}) < 2:  # GroupStats needs both groups, then as now
+        with pytest.raises(ValueError, match="group sizes must be positive"):
+            generate(cfg)
+        return
+    ds, stats = generate(cfg)
+    assert ds.pixels.dtype == np.float64
+    assert ds.pixels.tobytes() == np.stack([r[0] for r in rows]).tobytes()
+    assert ds.pixels.shape == (cfg.n_samples, cfg.channels, cfg.height, cfg.width)
+    assert ds.labels.tolist() == [r[1] for r in rows]
+    assert ds.groups.tolist() == [r[2] for r in rows]
+    assert ds.attributes.tolist() == [r[3] for r in rows]
+    assert (ds.labels.dtype, ds.groups.dtype) == (np.intp, np.intp)
+    assert stats.sizes.tolist() == np.bincount(ds.groups, minlength=2).tolist()
+
+    train, test = split(ds, fraction, split_seed)
+    want_train, want_test = split_indices(ds.labels.tolist(), ds.groups.tolist(), fraction,
+                                          split_seed)
+    assert (train.rows.tolist(), test.rows.tolist()) == (want_train, want_test)
+    assert train.pixels is ds.pixels and test.pixels is ds.pixels
+    assert train.labels.tolist() == ds.labels[want_train].tolist()
+
+
+@pytest.fixture
+def small_ds():
+    return generate(SynthConfig(n_samples=30, height=5, width=6, seed=21))[0]
+
+
+def test_int_index_returns_a_sample_row_with_python_types(small_ds):
+    for i in (0, 7, -1, np.int64(4)):
+        row = small_ds[i]
+        assert isinstance(row, dm.Sample)
+        assert type(row.label) is int and type(row.group) is int and type(row.attribute) is float
+        assert (row.label, row.group, row.attribute) == (
+            small_ds.labels[i], small_ds.groups[i], small_ds.attributes[i])
+        assert row.image.tobytes() == small_ds.pixels[small_ds.rows[i]].tobytes()
+
+
+def test_slices_and_index_arrays_return_datasets_sharing_the_pixels(small_ds):
+    for idx in (slice(3, 20, 2), np.array([9, 0, 4, 4]), small_ds.groups == 1):
+        sub = small_ds[idx]
+        assert isinstance(sub, dm.Dataset) and np.shares_memory(sub.pixels, small_ds.pixels)
+        assert sub.rows.tolist() == np.arange(len(small_ds))[idx].tolist()
+        images, labels, groups, attrs = dm.stack(sub)
+        assert images.tobytes() == small_ds.pixels[idx].tobytes()
+        assert labels.tolist() == small_ds.labels[idx].tolist()
+        assert groups.tolist() == small_ds.groups[idx].tolist()
+        assert attrs.tolist() == small_ds.attributes[idx].tolist()
+
+
+def test_iteration_yields_the_rows_in_order(small_ds):
+    rows = list(small_ds[5:12])
+    assert len(rows) == 7
+    for i, row in enumerate(rows, start=5):
+        want = small_ds[i]
+        assert row.image.tobytes() == want.image.tobytes() and row[1:] == want[1:]
+        assert type(row.label) is int and type(row.attribute) is float
+
+
+def test_nested_slices_of_a_split_compose_their_rows(small_ds):
+    train, test = split(small_ds, 0.7, seed=2)
+    sub = train[2:15][::3][np.array([3, 0])]
+    want = train.rows[2:15][::3][[3, 0]]
+    assert sub.rows.tolist() == want.tolist() and np.shares_memory(sub.pixels, small_ds.pixels)
+    assert dm.stack(sub)[0].tobytes() == np.stack([small_ds[i].image for i in want]).tobytes()
+    assert sub.labels.tolist() == small_ds.labels[want].tolist()
+    assert set(train.rows.tolist()).isdisjoint(test.rows.tolist())

@@ -21,7 +21,7 @@ from fairmoe.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from fairmoe.tensor import ShapeError
+from fairmoe.tensor import ShapeError, Tensor
 from fairmoe.training import (
     TrainConfig,
     TrainingDiverged,
@@ -113,6 +113,25 @@ def test_training_divergence_reports_step(dataset):
     model.head_w.data[:] = np.nan  # force a non-finite loss immediately
     with pytest.raises(TrainingDiverged, match="step 0"):
         train(model, train_s, stats, TrainConfig(epochs=1, seed=0))
+
+
+def test_non_finite_gradient_raises_before_adam_writes(dataset, monkeypatch):
+    train_s, _, stats = dataset
+    model = build_model(ModelConfig(blocks=SMALL_BLOCKS, moe_flags=(False, True)), seed=0)
+    real_backward, seen = Tensor.backward, {}
+
+    def backward(loss):  # the real sweep, then NaNs in two gradients at step 1
+        real_backward(loss)
+        seen["calls"] = seen.get("calls", 0) + 1
+        if seen["calls"] == 2:
+            seen["weights"] = {p: t.data.tobytes() for p, t in model.params.items()}
+            model.params["layer1.expert1.bias"].grad[0] = np.nan
+            model.params["head.weights"].grad[1, 2] = np.inf
+
+    monkeypatch.setattr(Tensor, "backward", backward)
+    with pytest.raises(TrainingDiverged, match=r"gradient in layer1\.expert1\.bias at step 1$"):
+        train(model, train_s, stats, TrainConfig(epochs=1, seed=0))
+    assert {p: t.data.tobytes() for p, t in model.params.items()} == seen["weights"]
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path, dataset):

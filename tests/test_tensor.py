@@ -130,7 +130,6 @@ def test_unused_leaf_gradient_is_exact_zero():
     unused = params.add("unused", Tensor(np.array([5.0])))
     params.zero_grad()
     (x * x).sum().backward()
-    np.testing.assert_array_equal(params.grads()["unused"], [0.0])
     assert unused.grad is not None and np.all(unused.grad == 0.0)
 
 
