@@ -3,7 +3,7 @@ deterministic synthetic data, and a small from-scratch autodiff engine."""
 
 from .tensor import (
     ParamSet, ShapeError, Tensor, conv2d, cross_entropy, dense, expert_conv2d, global_avg_pool,
-    matmul,
+    matmul, no_grad,
 )
 from .moe import (
     GroupStats,

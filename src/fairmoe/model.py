@@ -129,37 +129,38 @@ def build_model(config, seed):
     zero-initialized so step-0 scores are exactly uniform.
     """
     rng = np.random.default_rng(seed)
-    params = ParamSet()
-    layers = []
-    cin = config.in_channels
+    pairs, layers, cin = [], [], config.in_channels
+
+    def param(path, data):
+        pairs.append((path, Tensor(data)))
+        return pairs[-1][1]
+
     for i, block in enumerate(config.blocks):
         cout, k = block["out_channels"], block["kernel"]
         stride, padding = block["stride"], block["padding"]
         kern0 = _he_conv(rng, cout, cin, k)
         if config.moe_flags[i]:
-            experts = []
-            for e in range(config.m):
-                kern = params.add(f"layer{i}.expert{e}.kernel", Tensor(kern0.copy()))
-                bias = params.add(f"layer{i}.expert{e}.bias", Tensor(np.zeros(cout)))
-                experts.append((kern, bias))
+            experts = [
+                (param(f"layer{i}.expert{e}.kernel", kern0),
+                 param(f"layer{i}.expert{e}.bias", np.zeros(cout)))
+                for e in range(config.m)
+            ]
             r = config.router_width
             router = (
-                params.add(f"layer{i}.router.conv.kernel", Tensor(_he_conv(rng, r, cin, 1))),
-                params.add(f"layer{i}.router.conv.bias", Tensor(np.zeros(r))),
-                params.add(f"layer{i}.router.dense.weights", Tensor(np.zeros((r, config.m)))),
-                params.add(f"layer{i}.router.dense.bias", Tensor(np.zeros(config.m))),
+                param(f"layer{i}.router.conv.kernel", _he_conv(rng, r, cin, 1)),
+                param(f"layer{i}.router.conv.bias", np.zeros(r)),
+                param(f"layer{i}.router.dense.weights", np.zeros((r, config.m))),
+                param(f"layer{i}.router.dense.bias", np.zeros(config.m)),
             )
             layers.append(MoEConvLayer(i, experts, router, stride, padding))
         else:
-            kern = params.add(f"layer{i}.kernel", Tensor(kern0))
-            bias = params.add(f"layer{i}.bias", Tensor(np.zeros(cout)))
+            kern = param(f"layer{i}.kernel", kern0)
+            bias = param(f"layer{i}.bias", np.zeros(cout))
             layers.append(PlainConvLayer(i, kern, bias, stride, padding))
         cin = cout
-    head_w = params.add(
-        "head.weights", Tensor(rng.normal(0.0, np.sqrt(1.0 / cin), size=(cin, config.n_classes)))
-    )
-    head_b = params.add("head.bias", Tensor(np.zeros(config.n_classes)))
-    return Model(config, params, layers, head_w, head_b)
+    head_w = param("head.weights", rng.normal(0.0, np.sqrt(1.0 / cin), size=(cin, config.n_classes)))
+    head_b = param("head.bias", np.zeros(config.n_classes))
+    return Model(config, ParamSet(pairs), layers, head_w, head_b)
 
 
 # ---- checkpoint io -------------------------------------------------------
@@ -182,8 +183,7 @@ def save_checkpoint(path, model, stats, step, rng_state, train_config=None):
     blob = json.dumps(meta, sort_keys=True).encode()
     with open(path, "wb") as f:
         f.write(CKPT_MAGIC + struct.pack("<HI", CKPT_VERSION, len(blob)) + blob)
-        for _, t in model.params.items():
-            f.write(t.data.astype("<f8").tobytes())
+        f.write(model.params.data.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -218,13 +218,13 @@ def load_checkpoint(path):
         raise CheckpointFormatError(
             f"{path}: {model.config.m} experts per MoE layer but {stats.m} group sizes"
         )
-    offset = 10 + meta_len
-    for p, t in model.params.items():
-        n = t.data.size
-        if offset + 8 * n > len(raw):
-            raise CheckpointFormatError(f"{path}: truncated in parameter {p} at byte {offset}")
-        t.data = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(t.shape).copy()
-        offset += 8 * n
-    if offset != len(raw):
-        raise CheckpointFormatError(f"{path}: {len(raw) - offset} trailing bytes")
+    offset, end = 10 + meta_len, 10 + meta_len + 8 * model.params.data.size
+    if len(raw) < end:
+        for p, t in model.params.items():
+            if offset + 8 * t.data.size > len(raw):
+                raise CheckpointFormatError(f"{path}: truncated in parameter {p} at byte {offset}")
+            offset += 8 * t.data.size
+    if len(raw) > end:
+        raise CheckpointFormatError(f"{path}: {len(raw) - end} trailing bytes")
+    model.params.data[:] = np.frombuffer(raw, dtype="<f8", offset=offset)
     return model, stats, step, rng_state, train_config

@@ -9,14 +9,29 @@ plain addition.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 LOG_EPS = 1e-12
 
+_grad_enabled = True  # read by Tensor._node; set only by no_grad()
+
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
+
+
+@contextmanager
+def no_grad():
+    """Inside the block ops build no graph: results never require grad and keep no parents."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
 
 
 class Tensor:
@@ -36,7 +51,7 @@ class Tensor:
     @staticmethod
     def _node(data, parents, backward):
         out = Tensor(data)
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = tuple(parents)
             out._backward = backward
@@ -77,7 +92,7 @@ class Tensor:
             if node._parents or node.grad is None:
                 node.grad = np.zeros_like(node.data)
         if self.requires_grad:
-            self.grad = self.grad + np.ones_like(self.data)
+            self.grad += 1.0
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
@@ -355,19 +370,28 @@ def cross_entropy(logits, targets):
 
 
 class ParamSet:
-    """Ordered map from parameter path to leaf tensor."""
+    """Ordered map from parameter path to leaf tensor, built once from (path, tensor) pairs.
 
-    def __init__(self):
+    ``data`` and ``grad`` hold every parameter in path order in one float64
+    array each; every tensor's ``data`` and ``grad`` are reshaped views of
+    them.  So parameters are written in place (``t.data[...] = v``); a rebound
+    ``t.data`` or ``t.grad`` would no longer be seen by the optimizer.
+    """
+
+    def __init__(self, pairs):
         self._params: dict[str, Tensor] = {}
-
-    def add(self, path, tensor):
-        if path in self._params:
-            raise ValueError(f"duplicate parameter path {path!r}")
-        if tensor._parents:
-            raise ValueError(f"parameter {path!r} is not a leaf tensor")
-        tensor.requires_grad = True
-        self._params[path] = tensor
-        return tensor
+        for path, tensor in pairs:
+            if path in self._params:
+                raise ValueError(f"duplicate parameter path {path!r}")
+            if tensor._parents:
+                raise ValueError(f"parameter {path!r} is not a leaf tensor")
+            self._params[path] = tensor
+        tensors = self._params.values()
+        self.data = np.concatenate([np.zeros(0), *(t.data.ravel() for t in tensors)])
+        self.grad = np.zeros(self.data.size)
+        ends = np.cumsum([t.data.size for t in tensors])
+        for t, data, grad in zip(tensors, np.split(self.data, ends), np.split(self.grad, ends)):
+            t.data, t.grad, t.requires_grad = data.reshape(t.shape), grad.reshape(t.shape), True
 
     def __getitem__(self, path):
         return self._params[path]
@@ -379,5 +403,4 @@ class ParamSet:
         return list(self._params)
 
     def zero_grad(self):
-        for t in self._params.values():
-            t.grad = np.zeros_like(t.data)
+        self.grad.fill(0.0)

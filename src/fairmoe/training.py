@@ -12,7 +12,7 @@ from .fairness import PredictionLog, build_report, fate
 from .model import build_model, save_checkpoint
 from .moe import ROUTING_MODES
 from .objectives import LossConfig, estimate_joint, total_loss
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -50,24 +50,22 @@ class Adam:
         self.params = params
         self.lr = lr
         self.t = 0
-        self.m = {p: np.zeros_like(t.data) for p, t in params.items()}
-        self.v = {p: np.zeros_like(t.data) for p, t in params.items()}
+        self.m, self.v = np.zeros((2, params.data.size))  # flat first and second moments
 
     def step(self):
         """One update; a non-finite gradient raises ``TrainingDiverged`` before any write."""
-        for p, tensor in self.params.items():
-            if tensor.grad is not None and not np.isfinite(tensor.grad).all():
-                raise TrainingDiverged(f"non-finite gradient in {p} at step {self.t}")
+        g = self.params.grad
+        if not np.isfinite(g).all():
+            bad = next(p for p, t in self.params.items() if not np.isfinite(t.grad).all())
+            raise TrainingDiverged(f"non-finite gradient in {bad} at step {self.t}")
         self.t += 1
-        for p, tensor in self.params.items():
-            g = tensor.grad
-            if g is None:
-                continue
-            self.m[p] = BETA1 * self.m[p] + (1 - BETA1) * g
-            self.v[p] = BETA2 * self.v[p] + (1 - BETA2) * g * g
-            mh = self.m[p] / (1 - BETA1 ** self.t)
-            vh = self.v[p] / (1 - BETA2 ** self.t)
-            tensor.data -= self.lr * mh / (np.sqrt(vh) + ADAM_EPS)
+        self.m *= BETA1
+        self.m += (1 - BETA1) * g
+        self.v *= BETA2
+        self.v += (1 - BETA2) * g * g
+        mh = self.m / (1 - BETA1 ** self.t)
+        vh = self.v / (1 - BETA2 ** self.t)
+        self.params.data -= self.lr * mh / (np.sqrt(vh) + ADAM_EPS)
 
 
 def check_labels(labels, n_classes):
@@ -156,18 +154,19 @@ def evaluate(model, samples, stats, mode="argmax", baseline_report=None, baselin
     rng = np.random.default_rng(0)
     preds, batches = [], []
     bs = 256
-    for start in range(0, len(samples), bs):
-        sl = slice(start, start + bs)
-        logits, layer_batches, _ = model.forward(
-            Tensor(samples.images(sl)),
-            stats,
-            mode=mode,
-            rng=rng,
-            sample_ids=np.arange(start, min(start + bs, len(samples))),
-            groups=groups[sl],
-        )
-        preds.append(np.argmax(logits.data, axis=1))
-        batches.extend(layer_batches)
+    with no_grad():
+        for start in range(0, len(samples), bs):
+            sl = slice(start, start + bs)
+            logits, layer_batches, _ = model.forward(
+                Tensor(samples.images(sl)),
+                stats,
+                mode=mode,
+                rng=rng,
+                sample_ids=np.arange(start, min(start + bs, len(samples))),
+                groups=groups[sl],
+            )
+            preds.append(np.argmax(logits.data, axis=1))
+            batches.extend(layer_batches)
     log = PredictionLog(
         sample_ids=np.arange(len(samples)),
         true_classes=labels,
@@ -226,6 +225,8 @@ def ablate_moe_layers(base_config, train_samples, test_samples, stats, cfg, seed
     Every row shares the same data and seed list; metrics are averaged
     over seeds and FATE is scored against the zero-MoE row.
     """
+    if len(seeds) == 0:
+        raise ValueError("ablation_seeds is empty: the ablation needs at least one seed")
     n_blocks = len(base_config.blocks)
     per_count = {}
     for count in range(n_blocks + 1):
@@ -241,8 +242,7 @@ def ablate_moe_layers(base_config, train_samples, test_samples, stats, cfg, seed
     def mean(count, fn):
         return float(np.mean([fn(r) for r in per_count[count]]))
 
-    base_f1 = mean(0, lambda r: r.avg["f1"])
-    base_fair = {k: mean(0, lambda r, k=k: getattr(r, k)) for k in ("eopp0", "eopp1", "eodd")}
+    base_f1, base_eodd = mean(0, lambda r: r.avg["f1"]), mean(0, lambda r: r.eodd)
     table = []
     for count in range(n_blocks + 1):
         row = {
@@ -255,7 +255,7 @@ def ablate_moe_layers(base_config, train_samples, test_samples, stats, cfg, seed
         row["fate_eodd"] = (
             0.0
             if count == 0
-            else fate(row["avg_f1"], base_f1, max(row["eodd"], 1e-12), max(base_fair["eodd"], 1e-12))
+            else fate(row["avg_f1"], base_f1, max(row["eodd"], 1e-12), max(base_eodd, 1e-12))
         )
         table.append(row)
     return table
@@ -273,7 +273,8 @@ def router_depth_report(model, test_samples, train_samples, stats, score_kind="s
         raise ValueError("model has no MoE layers to report on")
 
     def layer_batches(samples):
-        _, batches, _ = model.forward(Tensor(samples.images()), stats, mode="argmax")
+        with no_grad():
+            _, batches, _ = model.forward(Tensor(samples.images()), stats, mode="argmax")
         return {b.layer_index: b for b in batches}, samples.groups
 
     train_batches, train_groups = layer_batches(train_samples)

@@ -1,6 +1,8 @@
 import csv
 import functools
 import json
+import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairmoe import cli
+from fairmoe import cli, training
 from fairmoe.cli import main as cli_main
 from fairmoe.data import SynthConfig, generate, load, save, split
 from fairmoe.moe import GroupStats
@@ -21,10 +23,11 @@ from fairmoe.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from fairmoe.tensor import ShapeError, Tensor
+from fairmoe.tensor import ShapeError, Tensor, cross_entropy
 from fairmoe.training import (
     TrainConfig,
     TrainingDiverged,
+    ablate_moe_layers,
     evaluate,
     moe_flags_for_count,
     router_depth_report,
@@ -196,6 +199,28 @@ def test_every_checkpoint_truncation_raises_format_error():
         assert not _load_or_format_error(raw[:cut]), f"cut at byte {cut} loaded"
 
 
+def test_checkpoint_with_trailing_bytes_raises_format_error(tmp_path):
+    path = tmp_path / "c.fmck"
+    path.write_bytes(small_fmck() + bytes(8))
+    with pytest.raises(CheckpointFormatError, match="8 trailing bytes"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_cut_inside_a_parameter_names_it(tmp_path):
+    raw = small_fmck()
+    (meta_len,) = struct.unpack_from("<I", raw, 6)
+    offset = 10 + meta_len
+    path = tmp_path / "c.fmck"
+    meta = json.loads(raw[10:offset])
+    for p in meta["param_order"]:
+        path.write_bytes(raw[: offset + 4])  # half of the parameter's first value
+        with pytest.raises(CheckpointFormatError,
+                           match=f"truncated in parameter {re.escape(p)} at byte {offset}$"):
+            load_checkpoint(path)
+        offset += 8 * int(np.prod(meta["param_shapes"][p]))
+    assert offset == len(raw)
+
+
 def test_checkpoint_rejects_expert_group_mismatch(tmp_path):
     model = build_model(ModelConfig(blocks=SMALL_BLOCKS, moe_flags=(False, True), m=3), seed=0)
     save_checkpoint(tmp_path / "c.fmck", model, GroupStats(np.array([3.0, 5.0])), 0, None)
@@ -347,6 +372,21 @@ def test_router_depth_report_uniform_at_init(dataset):
         assert r["mean_own_score"] == 0.5  # zero-init router head
 
 
+def test_evaluate_and_route_report_leave_gradients_unchanged(dataset):
+    train_s, test_s, stats = dataset
+    cfg = ModelConfig(blocks=SMALL_BLOCKS, moe_flags=(True, True))
+    evaluated, untouched = build_model(cfg, seed=3), build_model(cfg, seed=3)
+    evaluate(evaluated, test_s, stats, mode="sample")
+    router_depth_report(evaluated, test_s, train_s, stats)
+    for model in (evaluated, untouched):
+        logits, _, _ = model.forward(Tensor(train_s.images(slice(0, 32))), stats, mode="argmax")
+        model.params.zero_grad()
+        cross_entropy(logits, train_s.labels[:32]).backward()
+    assert np.any(untouched.params.grad != 0.0)
+    assert evaluated.params.grad.tobytes() == untouched.params.grad.tobytes()
+    assert evaluated.params.data.tobytes() == untouched.params.data.tobytes()
+
+
 def test_route_report_assigns_own_expert_from_balanced_probabilities(dataset):
     train_s, test_s, _ = dataset
     stats = GroupStats(np.array([200.0, 100.0]))
@@ -429,6 +469,30 @@ def test_cli_rejects_unknown_top_level_config_keys(tmp_path, command, key):
     with pytest.raises(ValueError, match=f"config has unknown key '{key}'"):
         cli_main(argv)
     assert not (tmp_path / "out").exists()
+
+
+def test_ablation_rejects_empty_seed_list(dataset, tmp_path, monkeypatch, capsys):
+    train_s, test_s, stats = dataset
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before rejecting the seed list")
+
+    monkeypatch.setattr(training, "run_training", no_training)
+    cfg = ModelConfig(blocks=SMALL_BLOCKS, moe_flags=(False, False))
+    with pytest.raises(ValueError, match="ablation_seeds"):
+        ablate_moe_layers(cfg, train_s, test_s, stats, TrainConfig(epochs=1), seeds=())
+
+    samples, _ = generate(SynthConfig(n_samples=40, seed=3))
+    save(samples, tmp_path / "data")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"model": {"blocks": list(SMALL_BLOCKS),
+                                              "moe_flags": [False, False]},
+                                    "train": {"epochs": 1}, "ablation_seeds": []}))
+    with pytest.raises(ValueError, match="ablation_seeds"):
+        cli_main(["ablate", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
+                  "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+    capsys.readouterr()
 
 
 def test_train_config_rejects_unknown_modes():

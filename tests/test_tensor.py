@@ -13,6 +13,7 @@ from fairmoe.tensor import (
     dense,
     expert_conv2d,
     global_avg_pool,
+    no_grad,
 )
 
 from gradcheck import check_params
@@ -125,9 +126,8 @@ def test_backward_requires_scalar():
 
 
 def test_unused_leaf_gradient_is_exact_zero():
-    params = ParamSet()
-    x = params.add("x", Tensor(np.array([1.0, 2.0])))
-    unused = params.add("unused", Tensor(np.array([5.0])))
+    x, unused = Tensor(np.array([1.0, 2.0])), Tensor(np.array([5.0]))
+    params = ParamSet([("x", x), ("unused", unused)])
     params.zero_grad()
     (x * x).sum().backward()
     assert unused.grad is not None and np.all(unused.grad == 0.0)
@@ -141,10 +141,29 @@ def test_backward_accumulates_until_zeroed():
 
 
 def test_paramset_rejects_duplicates():
-    params = ParamSet()
-    params.add("a", Tensor([1.0]))
     with pytest.raises(ValueError, match="duplicate"):
-        params.add("a", Tensor([2.0]))
+        ParamSet([("a", Tensor([1.0])), ("a", Tensor([2.0]))])
+
+
+def test_paramset_rejects_non_leaf_tensor():
+    leaf = Tensor([1.0], requires_grad=True)
+    with pytest.raises(ValueError, match="'sum' is not a leaf tensor"):
+        ParamSet([("leaf", leaf), ("sum", leaf + leaf)])
+
+
+def test_no_grad_builds_no_graph_and_restores_the_flag():
+    w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    with no_grad():
+        out = conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 1, 1)), requires_grad=True),
+                     Tensor([0.0], requires_grad=True))
+        y = (w * w).relu().sum()
+    for t in (out, y):
+        assert not t.requires_grad and t._parents == () and t._backward is None
+    assert (w * w).requires_grad
+    with pytest.raises(RuntimeError, match="inside"):
+        with no_grad():
+            raise RuntimeError("inside")
+    assert (w * w).sum()._parents != ()
 
 
 def _small_net_loss(params, x, y):
@@ -159,11 +178,12 @@ def _small_net_loss(params, x, y):
 @pytest.mark.parametrize("seed", range(20))
 def test_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    params = ParamSet()
-    params.add("k", Tensor(rng.normal(scale=0.5, size=(3, 2, 3, 3))))
-    params.add("kb", Tensor(rng.normal(scale=0.1, size=3)))
-    params.add("w", Tensor(rng.normal(scale=0.5, size=(3, 4))))
-    params.add("wb", Tensor(rng.normal(scale=0.1, size=4)))
+    params = ParamSet([
+        ("k", Tensor(rng.normal(scale=0.5, size=(3, 2, 3, 3)))),
+        ("kb", Tensor(rng.normal(scale=0.1, size=3))),
+        ("w", Tensor(rng.normal(scale=0.5, size=(3, 4)))),
+        ("wb", Tensor(rng.normal(scale=0.1, size=4))),
+    ])
     x = Tensor(rng.normal(size=(2, 2, 6, 6)))
     y = rng.integers(0, 4, size=2)
     err = check_params(_small_net_loss(params, x, y), params)
@@ -173,11 +193,12 @@ def test_gradients_match_finite_differences(seed):
 def test_forward_and_gradients_deterministic():
     def run():
         rng = np.random.default_rng(42)
-        params = ParamSet()
-        params.add("k", Tensor(rng.normal(size=(2, 1, 3, 3))))
-        params.add("kb", Tensor(np.zeros(2)))
-        params.add("w", Tensor(rng.normal(size=(2, 3))))
-        params.add("wb", Tensor(np.zeros(3)))
+        params = ParamSet([
+            ("k", Tensor(rng.normal(size=(2, 1, 3, 3)))),
+            ("kb", Tensor(np.zeros(2))),
+            ("w", Tensor(rng.normal(size=(2, 3)))),
+            ("wb", Tensor(np.zeros(3))),
+        ])
         x = Tensor(rng.normal(size=(4, 1, 8, 8)))
         loss = _small_net_loss(params, x, np.array([0, 1, 2, 0]))()
         params.zero_grad()
@@ -208,12 +229,14 @@ def test_backward_graph_freed_without_cyclic_gc():
     np.testing.assert_array_equal(w.grad, np.full((3, 4), 2.0))
 
 
-def _experts(rng, m, cout=3, cin=2, k=3):
-    params = ParamSet()
+def _experts(rng, m, cout=3, cin=2, k=3, **extra_shapes):
+    """One ParamSet of m experts' kernels and biases, then one leaf per extra shape, drawn in order."""
+    pairs = []
     for e in range(m):
-        params.add(f"e{e}.kernel", Tensor(rng.normal(size=(cout, cin, k, k))))
-        params.add(f"e{e}.bias", Tensor(rng.normal(size=cout)))
-    params.zero_grad()
+        pairs.append((f"e{e}.kernel", Tensor(rng.normal(size=(cout, cin, k, k)))))
+        pairs.append((f"e{e}.bias", Tensor(rng.normal(size=cout))))
+    pairs += [(path, Tensor(rng.normal(size=shape))) for path, shape in extra_shapes.items()]
+    params = ParamSet(pairs)
     return params, [(params[f"e{e}.kernel"], params[f"e{e}.bias"]) for e in range(m)]
 
 
@@ -246,8 +269,8 @@ def test_expert_conv2d_equals_conv2d_on_each_experts_rows(chosen, x_grad):
 
 def test_expert_conv2d_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
-    params, experts = _experts(rng, 3)
-    x = params.add("x", Tensor(rng.normal(size=(5, 2, 5, 5))))
+    params, experts = _experts(rng, 3, x=(5, 2, 5, 5))
+    x = params["x"]
     weight = Tensor(rng.normal(size=(5, 3, 3, 3)))
     chosen = np.array([2, 0, 2, 2, 0])
 
