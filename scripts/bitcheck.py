@@ -21,8 +21,8 @@ Each tree builds in a subprocess of its own, with only that tree's ``src``
 on ``PYTHONPATH`` and one BLAS thread, inside an output directory where
 every path is relative, so both builds name the same paths (``report.json``
 records the baseline's).  One line per file, ``same`` or ``differs``; a
-file built by one tree only differs.  The exit code is 1 when any file
-differs.
+file built by one tree only differs.  A last line counts them,
+``<n> same, <m> differ``.  The exit code is 1 when any file differs.
 """
 
 from __future__ import annotations
@@ -138,7 +138,9 @@ def main(argv=None):
         results = [r for r in compare(tmp / "other", tmp / "here") if r[0] not in configs]
     for rel, same in results:
         print(f"{'same' if same else 'differs'}  {rel}")
-    return 0 if all(same for _, same in results) else 1
+    n_same = sum(same for _, same in results)
+    print(f"{n_same} same, {len(results) - n_same} differ")
+    return 0 if n_same == len(results) else 1
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ from .tensor import (
 )
 from .moe import (
     GroupStats,
-    MoEConvLayer,
     RoutingBatch,
     moe_forward,
     route_scores,
@@ -26,7 +25,7 @@ from .fairness import (
     group_prf1,
 )
 from .data import Dataset, Sample, SynthConfig, generate, load, save, split
-from .model import Model, ModelConfig, build_model, load_checkpoint, save_checkpoint
+from .model import ConvLayer, Model, ModelConfig, build_model, load_checkpoint, save_checkpoint
 from .training import TrainConfig, ablate_moe_layers, evaluate, router_depth_report, train
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .moe import GroupStats, MoEConvLayer, moe_forward
+from .moe import GroupStats, moe_forward
 from .tensor import ParamSet, Tensor, conv2d, dense, global_avg_pool
 
 CKPT_MAGIC = b"FMCK"
 CKPT_VERSION = 1
+CKPT_HEADER = struct.Struct("<4sHI")  # magic, version, metadata byte count
 
 BLOCK_KEYS = ("out_channels", "kernel", "stride", "padding")
 
@@ -52,8 +53,18 @@ class ModelConfig:
             raise ValueError("model needs at least one conv block")
         if len(self.moe_flags) != len(self.blocks):
             raise ValueError("one MoE flag per conv block is required")
+        cin, r, m = self.in_channels, self.router_width, self.m
         for i, block in enumerate(self.blocks):
             _check_block(i, block)
+            cout, k = block["out_channels"], block["kernel"]
+            # router: 1x1 conv to r channels, then dense to m scores
+            router, expert = r * cin + r + r * m + m, cout * cin * k * k + cout
+            if self.moe_flags[i] and router >= expert:
+                raise ValueError(
+                    f"block {i} router has {router} parameters, not smaller "
+                    f"than one expert's {expert}"
+                )
+            cin = cout
 
     def to_dict(self):
         return asdict(self)
@@ -77,7 +88,10 @@ def _check_block(i, block):
             raise ValueError(f"block {i} {key} must be an int >= {low}, got {value!r}")
 
 
-PlainConvLayer = namedtuple("PlainConvLayer", "layer_index kernel bias stride padding")
+# One conv block: ``experts`` is a list of (kernel, bias) Tensor pairs and
+# ``router`` the (conv_kernel, conv_bias, dense_w, dense_b) Tensors of a MoE
+# layer; a plain block is one expert with ``router=None``.
+ConvLayer = namedtuple("ConvLayer", "layer_index experts router stride padding")
 
 
 class Model:
@@ -90,7 +104,7 @@ class Model:
 
     @property
     def moe_layer_indices(self):
-        return tuple(i for i, l in enumerate(self.layers) if isinstance(l, MoEConvLayer))
+        return tuple(i for i, flag in enumerate(self.config.moe_flags) if flag)
 
     def forward(self, x, stats=None, mode="argmax", rng=None, sample_ids=None, groups=None):
         """Returns (logits, routing batches, probs-by-layer) for a batch tensor.
@@ -100,7 +114,7 @@ class Model:
         x = Tensor._lift(x)
         batches, probs_by_layer = [], {}
         for layer in self.layers:
-            if isinstance(layer, MoEConvLayer):
+            if layer.router is not None:
                 if stats is None:
                     raise ValueError("MoE layers need group stats to route")
                 x, batch, probs = moe_forward(
@@ -109,7 +123,7 @@ class Model:
                 batches.append(batch)
                 probs_by_layer[layer.layer_index] = probs
             else:
-                x = conv2d(x, layer.kernel, layer.bias, stride=layer.stride, padding=layer.padding)
+                x = conv2d(x, *layer.experts[0], stride=layer.stride, padding=layer.padding)
             x = x.relu()
         feats = global_avg_pool(x)
         logits = dense(feats, self.head_w, self.head_b)
@@ -152,11 +166,10 @@ def build_model(config, seed):
                 param(f"layer{i}.router.dense.weights", np.zeros((r, config.m))),
                 param(f"layer{i}.router.dense.bias", np.zeros(config.m)),
             )
-            layers.append(MoEConvLayer(i, experts, router, stride, padding))
         else:
-            kern = param(f"layer{i}.kernel", kern0)
-            bias = param(f"layer{i}.bias", np.zeros(cout))
-            layers.append(PlainConvLayer(i, kern, bias, stride, padding))
+            experts = [(param(f"layer{i}.kernel", kern0), param(f"layer{i}.bias", np.zeros(cout)))]
+            router = None
+        layers.append(ConvLayer(i, experts, router, stride, padding))
         cin = cout
     head_w = param("head.weights", rng.normal(0.0, np.sqrt(1.0 / cin), size=(cin, config.n_classes)))
     head_b = param("head.bias", np.zeros(config.n_classes))
@@ -182,7 +195,7 @@ def save_checkpoint(path, model, stats, step, rng_state, train_config=None):
     }
     blob = json.dumps(meta, sort_keys=True).encode()
     with open(path, "wb") as f:
-        f.write(CKPT_MAGIC + struct.pack("<HI", CKPT_VERSION, len(blob)) + blob)
+        f.write(CKPT_HEADER.pack(CKPT_MAGIC, CKPT_VERSION, len(blob)) + blob)
         f.write(model.params.data.astype("<f8").tobytes())
 
 
@@ -194,18 +207,18 @@ def load_checkpoint(path):
     raw = Path(path).read_bytes()
     if raw[:4] != CKPT_MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < 10:
-        raise CheckpointFormatError(f"{path}: {len(raw)}-byte file cut inside the 10-byte header")
-    (version,) = struct.unpack_from("<H", raw, 4)
+    head = CKPT_HEADER.size
+    if len(raw) < head:
+        raise CheckpointFormatError(f"{path}: {len(raw)}-byte file cut inside the {head}-byte header")
+    _, version, meta_len = CKPT_HEADER.unpack_from(raw)
     if version != CKPT_VERSION:
         raise CheckpointFormatError(f"{path}: unsupported version {version}")
-    (meta_len,) = struct.unpack_from("<I", raw, 6)
-    if 10 + meta_len > len(raw):
+    if head + meta_len > len(raw):
         raise CheckpointFormatError(
             f"{path}: truncated: {meta_len}-byte metadata overruns the {len(raw)}-byte file"
         )
     try:
-        meta = json.loads(raw[10 : 10 + meta_len].decode())
+        meta = json.loads(raw[head : head + meta_len].decode())
         model = build_model(ModelConfig.from_dict(meta["model_config"]), seed=0)
         stats = GroupStats(np.asarray(meta["group_sizes"], dtype=np.float64))
         param_order, step, rng_state = meta["param_order"], meta["step"], meta["rng_state"]
@@ -218,7 +231,7 @@ def load_checkpoint(path):
         raise CheckpointFormatError(
             f"{path}: {model.config.m} experts per MoE layer but {stats.m} group sizes"
         )
-    offset, end = 10 + meta_len, 10 + meta_len + 8 * model.params.data.size
+    offset, end = head + meta_len, head + meta_len + 8 * model.params.data.size
     if len(raw) < end:
         for p, t in model.params.items():
             if offset + 8 * t.data.size > len(raw):

@@ -1,7 +1,8 @@
 """Group-tied mixture-of-experts conv layer with size-balanced soft routing.
 
-Each layer carries m expert convolutions (one per demographic group) and a
-small router: 1x1 conv -> relu -> global average pool -> dense -> softmax.
+A MoE layer is a ``model.ConvLayer`` with a router: m expert convolutions
+(one per demographic group) and a small router, 1x1 conv -> relu -> global
+average pool -> dense -> softmax.
 Routing is hard-forward: exactly one expert runs per sample, chosen from
 selection probabilities that reweight the router's confidence scores by
 inverse group size.  The expert is sampled from those probabilities
@@ -80,35 +81,6 @@ class RoutingBatch:
 
     def __len__(self):
         return len(self.chosen)
-
-
-class MoEConvLayer:
-    """m identically-shaped expert convs plus a router over the layer input."""
-
-    def __init__(self, layer_index, experts, router, stride, padding):
-        self.layer_index = layer_index
-        self.experts = experts  # list of (kernel, bias) Tensor pairs
-        self.router = router  # (conv_kernel, conv_bias, dense_w, dense_b)
-        self.stride = stride
-        self.padding = padding
-        if self.router_param_count() >= self.expert_param_count():
-            raise ValueError(
-                f"router has {self.router_param_count()} parameters, not smaller "
-                f"than one expert's {self.expert_param_count()}"
-            )
-        if router[2].shape[1] != self.m or router[3].shape != (self.m,):
-            raise ValueError("router head width must equal the expert count")
-
-    @property
-    def m(self):
-        return len(self.experts)
-
-    def expert_param_count(self):
-        k, b = self.experts[0]
-        return k.data.size + b.data.size
-
-    def router_param_count(self):
-        return sum(t.data.size for t in self.router)
 
 
 def route_scores(x, layer):

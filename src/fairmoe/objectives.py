@@ -63,10 +63,8 @@ def estimate_joint(probs, groups, stats):
     pc = pc / pc.sum()
 
     # constant averaging matrix: row j picks out group present[j]'s samples
-    avg = np.zeros((len(present), len(groups)))
-    for r, g in enumerate(present):
-        idx = groups == g
-        avg[r, idx] = 1.0 / idx.sum()
+    member = groups == present[:, None]
+    avg = member / member.sum(axis=1, keepdims=True)
     cond = matmul(Tensor(avg), probs)  # (groups present, m) rows P(E|C_j)
     joint = cond * Tensor(pc[:, None])
     return JointDistribution(

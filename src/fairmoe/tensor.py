@@ -380,12 +380,16 @@ class ParamSet:
 
     def __init__(self, pairs):
         self._params: dict[str, Tensor] = {}
+        path_of = {}  # id(tensor) -> its path, so one tensor cannot sit under two paths
         for path, tensor in pairs:
             if path in self._params:
                 raise ValueError(f"duplicate parameter path {path!r}")
+            if id(tensor) in path_of:
+                raise ValueError(f"parameters {path_of[id(tensor)]!r} and {path!r} are one tensor")
             if tensor._parents:
                 raise ValueError(f"parameter {path!r} is not a leaf tensor")
             self._params[path] = tensor
+            path_of[id(tensor)] = path
         tensors = self._params.values()
         self.data = np.concatenate([np.zeros(0), *(t.data.ravel() for t in tensors)])
         self.grad = np.zeros(self.data.size)

@@ -69,8 +69,10 @@ class Adam:
 
 
 def check_labels(labels, n_classes):
-    """Every label must index one of the model's ``n_classes`` outputs."""
+    """The dataset has samples, and every label indexes one of the model's ``n_classes`` outputs."""
     labels = np.asarray(labels)
+    if labels.size == 0:
+        raise ValueError("the dataset has no samples")
     bad = np.flatnonzero((labels < 0) | (labels >= n_classes))
     if bad.size:
         i = bad[0]
@@ -85,6 +87,11 @@ def train(model, samples, stats, cfg, log_path=None):
     """
     labels, groups = samples.labels, samples.groups
     check_labels(labels, model.config.n_classes)
+    if model.moe_layer_indices and model.config.m != stats.m:
+        raise ValueError(
+            f"model config has m={model.config.m} experts per MoE layer, "
+            f"but the data has {stats.m} groups"
+        )
     n = len(samples)
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.params, lr=cfg.learning_rate)
@@ -125,11 +132,6 @@ def train(model, samples, stats, cfg, log_path=None):
 
 def run_training(model_config, train_samples, stats, cfg, out_dir=None):
     """Build, train, and optionally persist a checkpoint + log CSV."""
-    if any(model_config.moe_flags) and model_config.m != stats.m:
-        raise ValueError(
-            f"model config has m={model_config.m} experts per MoE layer, "
-            f"but the data has {stats.m} groups"
-        )
     model = build_model(model_config, seed=cfg.seed)
     log_path = Path(out_dir) / "train_log.csv" if out_dir else None
     if out_dir:
@@ -228,7 +230,7 @@ def ablate_moe_layers(base_config, train_samples, test_samples, stats, cfg, seed
     if len(seeds) == 0:
         raise ValueError("ablation_seeds is empty: the ablation needs at least one seed")
     n_blocks = len(base_config.blocks)
-    per_count = {}
+    table = []
     for count in range(n_blocks + 1):
         config = replace(base_config, moe_flags=moe_flags_for_count(n_blocks, count))
         reports = []
@@ -237,26 +239,12 @@ def ablate_moe_layers(base_config, train_samples, test_samples, stats, cfg, seed
             model, _ = run_training(config, train_samples, stats, run_cfg)
             _, report, _ = evaluate(model, test_samples, stats, mode=cfg.eval_mode)
             reports.append(report)
-        per_count[count] = reports
-
-    def mean(count, fn):
-        return float(np.mean([fn(r) for r in per_count[count]]))
-
-    base_f1, base_eodd = mean(0, lambda r: r.avg["f1"]), mean(0, lambda r: r.eodd)
-    table = []
-    for count in range(n_blocks + 1):
-        row = {
-            "moe_layers": count,
-            "avg_f1": mean(count, lambda r: r.avg["f1"]),
-            "eopp0": mean(count, lambda r: r.eopp0),
-            "eopp1": mean(count, lambda r: r.eopp1),
-            "eodd": mean(count, lambda r: r.eodd),
-        }
-        row["fate_eodd"] = (
-            0.0
-            if count == 0
-            else fate(row["avg_f1"], base_f1, max(row["eodd"], 1e-12), max(base_eodd, 1e-12))
-        )
+        row = {"moe_layers": count, "avg_f1": float(np.mean([r.avg["f1"] for r in reports]))}
+        row.update({k: float(np.mean([getattr(r, k) for r in reports]))
+                    for k in ("eopp0", "eopp1", "eodd")})
+        base = table[0] if table else row
+        gap, base_gap = max(row["eodd"], 1e-12), max(base["eodd"], 1e-12)
+        row["fate_eodd"] = fate(row["avg_f1"], base["avg_f1"], gap, base_gap) if table else 0.0
         table.append(row)
     return table
 

@@ -12,7 +12,7 @@ from fairmoe.fairness import PredictionLog, build_report, fate
 from fairmoe.model import ModelConfig, load_checkpoint
 from fairmoe.moe import GroupStats, selection_probabilities
 from fairmoe.objectives import JointDistribution, estimate_joint, mutual_information
-from fairmoe.tensor import Tensor, conv2d, cross_entropy, dense, global_avg_pool
+from fairmoe.tensor import Tensor, conv2d, cross_entropy, dense, global_avg_pool, no_grad
 from fairmoe.training import TrainConfig, ablate_moe_layers, evaluate, router_depth_report, run_training
 
 from gradcheck import finite_difference, max_relative_error
@@ -42,9 +42,10 @@ def final_layer_mi(model, samples, stats):
     images, _, groups, _ = dm.stack(samples)
     layer = max(model.moe_layer_indices)
     chunks = []
-    for start in range(0, len(samples), 400):
-        _, _, probs = model.forward(Tensor(images[start : start + 400]), stats, mode="argmax")
-        chunks.append(probs[layer].data)
+    with no_grad():
+        for start in range(0, len(samples), 400):
+            _, _, probs = model.forward(Tensor(images[start : start + 400]), stats, mode="argmax")
+            chunks.append(probs[layer].data)
     probs_all = np.concatenate(chunks)
     return float(mutual_information(estimate_joint(probs_all, groups, stats)).data)
 

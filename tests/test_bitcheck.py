@@ -44,13 +44,15 @@ def copy_src(dest, old=None, new=None):
 def test_unmodified_copy_builds_the_same_files(tmp_path, reduced_set, capsys):
     assert bitcheck.main([str(copy_src(tmp_path))]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines == [f"same  {rel}" for rel in ARTIFACTS]
+    assert lines == [f"same  {rel}" for rel in ARTIFACTS] + [f"{len(ARTIFACTS)} same, 0 differ"]
 
 
 def test_mutated_copy_names_the_files_that_differ(tmp_path, reduced_set, capsys):
     tree = copy_src(tmp_path, "ADAM_EPS = 0.9, 0.999, 1e-8", "ADAM_EPS = 0.9, 0.999, 1e-7")
     assert bitcheck.main([str(tree)]) == 1
-    verdicts = dict(reversed(line.split()) for line in capsys.readouterr().out.splitlines())
+    *files, summary = capsys.readouterr().out.splitlines()
+    assert summary == "4 same, 4 differ"
+    verdicts = dict(reversed(line.split()) for line in files)
     assert sorted(verdicts) == ARTIFACTS
     # Adam's epsilon moves the weights, hence the router scores, but no argmax here
     assert sorted(rel for rel, verdict in verdicts.items() if verdict == "differs") == [

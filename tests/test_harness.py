@@ -269,6 +269,22 @@ def test_model_config_rejects_bad_block_geometry(key, value):
         ModelConfig(blocks=(SMALL_BLOCKS[0], block), moe_flags=(False, False))
 
 
+def test_model_config_rejects_a_router_not_smaller_than_one_expert(tmp_path):
+    # one expert: 2*1*3*3 + 2 = 20 parameters; router: r*1 + r + r*2 + 2 = 4r + 2
+    block = {"out_channels": 2, "kernel": 3, "stride": 2, "padding": 1}
+    ModelConfig(blocks=(block,), moe_flags=(True,), router_width=4)
+    with pytest.raises(ValueError, match="block 0 router has 22 parameters, not smaller "
+                                         "than one expert's 20"):
+        ModelConfig(blocks=(block,), moe_flags=(True,), router_width=5)
+    ModelConfig(blocks=(block,), moe_flags=(False,), router_width=5)  # no router, no limit
+    raw = small_fmck()
+    assert raw.count(b'"router_width": 1') == 1
+    path = tmp_path / "c.fmck"
+    path.write_bytes(raw.replace(b'"router_width": 1', b'"router_width": 5'))
+    with pytest.raises(CheckpointFormatError, match="22 parameters, not smaller"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("field", ["m", "router_width", "n_classes", "in_channels"])
 @pytest.mark.parametrize("value", [0, -1, True, 1.5, "2", None])
 def test_model_config_rejects_bad_scalar_fields(field, value):
@@ -509,6 +525,29 @@ def test_run_training_rejects_expert_group_mismatch(dataset):
         run_training(cfg, train_s, stats, TrainConfig(epochs=1))
     plain = ModelConfig(blocks=SMALL_BLOCKS, moe_flags=(False, False), m=3)
     run_training(plain, train_s, stats, TrainConfig(epochs=1))  # no MoE layer routes
+
+
+def test_train_rejects_expert_group_mismatch_before_the_first_step(dataset):
+    train_s, _, stats = dataset
+    model = build_model(ModelConfig(moe_flags=(False, True, False, False), m=3), 0)
+    before = model.params.data.copy()
+    with pytest.raises(ValueError, match="m=3 experts per MoE layer, but the data has 2 groups"):
+        train(model, train_s, stats, TrainConfig(epochs=1))
+    assert model.params.data.tobytes() == before.tobytes()
+
+
+def test_train_rejects_an_empty_dataset(dataset):
+    train_s, _, stats = dataset
+    model = build_model(ModelConfig(blocks=SMALL_BLOCKS, moe_flags=(False, True)), seed=0)
+    with pytest.raises(ValueError, match="the dataset has no samples"):
+        train(model, train_s[:0], stats, TrainConfig(epochs=1))
+
+
+def test_evaluate_rejects_an_empty_dataset(dataset):
+    _, test_s, stats = dataset
+    model = build_model(ModelConfig(blocks=SMALL_BLOCKS, moe_flags=(False, True)), seed=0)
+    with pytest.raises(ValueError, match="the dataset has no samples"):
+        evaluate(model, test_s[:0], stats)
 
 
 def test_route_report_uses_config_split(tmp_path, monkeypatch, capsys):

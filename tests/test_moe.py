@@ -38,7 +38,7 @@ def test_group_stats_rejects_nonpositive():
 
 
 def test_router_is_smaller_than_one_expert(layer):
-    assert layer.router_param_count() < layer.expert_param_count()
+    assert sum(t.data.size for t in layer.router) < sum(t.data.size for t in layer.experts[0])
 
 
 def test_route_scores_uniform_at_zero_init(layer):
@@ -131,7 +131,7 @@ def test_moe_forward_identical_experts_give_identical_output(layer):
     rng = np.random.default_rng(0)
     out, recs, _ = moe_forward(x, layer, stats, "sample", rng=rng)
     # experts start from one shared draw, so either choice matches either conv
-    for k in range(layer.m):
+    for k in range(len(layer.experts)):
         ref = conv2d(x, *layer.experts[k], stride=layer.stride, padding=layer.padding)
         np.testing.assert_allclose(out.data, ref.data, atol=1e-12)
 

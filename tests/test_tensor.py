@@ -145,6 +145,12 @@ def test_paramset_rejects_duplicates():
         ParamSet([("a", Tensor([1.0])), ("a", Tensor([2.0]))])
 
 
+def test_paramset_rejects_one_tensor_under_two_paths():
+    t = Tensor([1.0, 2.0])
+    with pytest.raises(ValueError, match="parameters 'a' and 'b' are one tensor"):
+        ParamSet([("a", t), ("b", t)])
+
+
 def test_paramset_rejects_non_leaf_tensor():
     leaf = Tensor([1.0], requires_grad=True)
     with pytest.raises(ValueError, match="'sum' is not a leaf tensor"):
