@@ -3,7 +3,9 @@
 One JSON config document drives generation and training; its keys mirror
 the SynthConfig / ModelConfig / TrainConfig field names under the
 "synth", "model", and "train" sections, and a key that names no field is
-rejected, as is a top-level key outside ``CONFIG_KEYS``.
+rejected, as is a top-level key outside ``CONFIG_KEYS``.  An input error
+(``ValueError`` or ``OSError``) ends the command with one ``fairmoe: error:``
+line on stderr and exit code 2, as a bad flag does.
 """
 
 from __future__ import annotations
@@ -174,7 +176,10 @@ def main(argv=None):
     p.set_defaults(fn=cmd_route_report)
 
     args = parser.parse_args(argv)
-    args.fn(args)
+    try:
+        args.fn(args)
+    except (ValueError, OSError) as exc:  # bad input: one line and argparse's exit code
+        parser.exit(2, f"fairmoe: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from .moe import GroupStats
 
 MAGIC = b"FMDS"
 VERSION = 1
-HEADER_BYTES = 22  # magic, <H version, <4I n, c, h, w
+FMDS_HEADER = struct.Struct("<4sH4I")  # magic, version, n, c, h, w
 N_GROUPS = 2  # the attribute threshold splits samples into groups 0 and 1
 CHUNK = 256  # samples per block of draws in ``generate``; bounds its temporaries
 
@@ -87,7 +87,6 @@ class SynthConfig:
     width: int = 16
     n_classes: int = 4
     threshold: float = 0.5
-    boundary_halfwidth: float = 0.1
     class_priors: tuple = ((0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4))
     noise_sigma: float = 0.1
     seed: int = 0
@@ -100,8 +99,8 @@ class SynthConfig:
             )
         if np.any(priors < 0) or np.max(np.abs(priors.sum(axis=1) - 1.0)) > 1e-9:
             raise ValueError("each group's class priors must be a distribution")
-        if not self.boundary_halfwidth < self.threshold:
-            raise ValueError("boundary halfwidth must be smaller than the threshold")
+        if not 0.0 < self.threshold < 1.0:
+            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold!r}")
 
 
 def gain(t):
@@ -196,7 +195,7 @@ def save(ds, dirpath):
     records["group"] = ds.groups
     records["image"] = ds.images()
     with open(dirpath / "data.fmds", "wb") as f:
-        f.write(MAGIC + struct.pack("<H4I", VERSION, len(ds), c, h, w))
+        f.write(FMDS_HEADER.pack(MAGIC, VERSION, len(ds), c, h, w))
         f.write(records.tobytes())
     with open(dirpath / "manifest.csv", "w", newline="") as f:
         writer = csv.writer(f)
@@ -208,23 +207,23 @@ def save(ds, dirpath):
 def load(dirpath):
     dirpath = Path(dirpath)
     path = dirpath / "data.fmds"
-    raw = path.read_bytes()
-    if len(raw) < HEADER_BYTES:
+    raw, head = path.read_bytes(), FMDS_HEADER.size
+    if len(raw) < head:
         raise DatasetFormatError(
-            f"{path}: truncated inside the {HEADER_BYTES}-byte header at byte {len(raw)}"
+            f"{path}: truncated inside the {head}-byte header at byte {len(raw)}"
         )
-    if raw[:4] != MAGIC:
-        raise DatasetFormatError(f"{path}: bad magic {raw[:4]!r} at byte 0")
-    version, n, c, h, w = struct.unpack_from("<H4I", raw, 4)
+    magic, version, n, c, h, w = FMDS_HEADER.unpack_from(raw)
+    if magic != MAGIC:
+        raise DatasetFormatError(f"{path}: bad magic {magic!r} at byte 0")
     if version != VERSION:
         raise DatasetFormatError(f"{path}: unsupported version {version} at byte 4")
     size = record_dtype(0, 0, 0).itemsize + 8 * c * h * w  # the fixed fields, then pixels
-    whole = (len(raw) - HEADER_BYTES) // size
+    whole = (len(raw) - head) // size
     if whole < n:
         raise DatasetFormatError(
-            f"{path}: truncated while reading sample {whole} at byte {HEADER_BYTES + whole * size}"
+            f"{path}: truncated while reading sample {whole} at byte {head + whole * size}"
         )
-    end = HEADER_BYTES + n * size
+    end = head + n * size
     if end != len(raw):
         raise DatasetFormatError(f"{path}: {len(raw) - end} trailing bytes at byte {end}")
 
@@ -243,13 +242,13 @@ def load(dirpath):
     if max(c, h, w) >= 2**31:  # a dtype's shape holds C ints; only pixel-free images get here
         raise DatasetFormatError(f"{path}: image shape {(c, h, w)} too large at byte 10")
 
-    records = np.frombuffer(raw, record_dtype(c, h, w), n, HEADER_BYTES)
+    records = np.frombuffer(raw, record_dtype(c, h, w), n, head)
     bad = np.flatnonzero(records["group"] >= N_GROUPS)
     if bad.size:
         i = int(bad[0])
         raise DatasetFormatError(
             f"{path}: sample {i} has group {records['group'][i]}, not in [0, {N_GROUPS}), "
-            f"at byte {HEADER_BYTES + i * size + records.dtype.fields['group'][1]}"
+            f"at byte {head + i * size + records.dtype.fields['group'][1]}"
         )
     return Dataset(records["image"].copy(), records["label"], records["group"],
                    records["attribute"].copy())

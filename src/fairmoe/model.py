@@ -46,9 +46,7 @@ class ModelConfig:
         self.blocks = tuple(dict(b) for b in self.blocks)
         self.moe_flags = tuple(bool(f) for f in self.moe_flags)
         for name in ("m", "router_width", "n_classes", "in_channels"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"model {name} must be an int >= 1, got {value!r}")
+            check_int(f"model {name}", getattr(self, name))
         if len(self.blocks) < 1:
             raise ValueError("model needs at least one conv block")
         if len(self.moe_flags) != len(self.blocks):
@@ -75,6 +73,12 @@ class ModelConfig:
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
+def check_int(what, value, low=1):
+    """``value`` is an int (a bool is not) of at least ``low``; the message names ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{what} must be an int >= {low}, got {value!r}")
+
+
 def _check_block(i, block):
     """Conv geometry: positive int channels, kernel and stride; non-negative int padding."""
     for key in block:
@@ -83,9 +87,7 @@ def _check_block(i, block):
     for key in BLOCK_KEYS:
         if key not in block:
             raise ValueError(f"block {i} is missing key {key!r}")
-        value, low = block[key], 0 if key == "padding" else 1
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ValueError(f"block {i} {key} must be an int >= {low}, got {value!r}")
+        check_int(f"block {i} {key}", block[key], low=0 if key == "padding" else 1)
 
 
 # One conv block: ``experts`` is a list of (kernel, bias) Tensor pairs and

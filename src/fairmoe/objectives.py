@@ -27,11 +27,10 @@ class LossConfig:
 
 @dataclass
 class JointDistribution:
-    """Joint P(C_i, E_j) with its marginals; joint and P(E) stay differentiable."""
+    """Joint P(C_i, E_j), differentiable, with the group priors P(C_i) as its row marginals."""
 
     joint: Tensor
     group_priors: np.ndarray
-    expert_marginals: Tensor
 
     def __post_init__(self):
         j = self.joint.data
@@ -41,8 +40,6 @@ class JointDistribution:
             raise ValueError(f"joint mass sums to {j.sum()!r}, expected 1")
         if np.max(np.abs(j.sum(axis=1) - self.group_priors)) > 1e-9:
             raise ValueError("row marginals disagree with group priors")
-        if np.max(np.abs(j.sum(axis=0) - self.expert_marginals.data)) > 1e-9:
-            raise ValueError("column marginals disagree with expert marginals")
 
 
 def estimate_joint(probs, groups, stats):
@@ -66,18 +63,13 @@ def estimate_joint(probs, groups, stats):
     member = groups == present[:, None]
     avg = member / member.sum(axis=1, keepdims=True)
     cond = matmul(Tensor(avg), probs)  # (groups present, m) rows P(E|C_j)
-    joint = cond * Tensor(pc[:, None])
-    return JointDistribution(
-        joint=joint,
-        group_priors=pc,
-        expert_marginals=joint.sum(axis=0),
-    )
+    return JointDistribution(joint=cond * Tensor(pc[:, None]), group_priors=pc)
 
 
 def mutual_information(jd):
     """I(C;E) in nats from a joint distribution; differentiable scalar Tensor."""
     pc = Tensor(jd.group_priors[:, None])
-    pe = jd.expert_marginals.reshape(1, -1)
+    pe = jd.joint.sum(axis=0, keepdims=True)
     ratio_log = jd.joint.log() - (pc * pe).log()
     return (jd.joint * ratio_log).sum()
 

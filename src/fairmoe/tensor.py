@@ -123,11 +123,15 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * Tensor(-1.0)
-
     def __sub__(self, other):
-        return self + (-Tensor._lift(other))
+        other = Tensor._lift(other)
+        data = self.data - other.data
+
+        def bw(g):
+            _accum(self, _unbroadcast(g, self.data.shape))
+            _accum(other, _unbroadcast(-g, other.data.shape))
+
+        return Tensor._node(data, (self, other), bw)
 
     def __truediv__(self, other):
         other = Tensor._lift(other)

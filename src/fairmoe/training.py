@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .fairness import PredictionLog, build_report, fate
-from .model import build_model, save_checkpoint
+from .model import build_model, check_int, save_checkpoint
 from .moe import ROUTING_MODES
 from .objectives import LossConfig, estimate_joint, total_loss
 from .tensor import Tensor, no_grad
@@ -33,8 +33,13 @@ class TrainConfig:
     eval_mode: str = "argmax"
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0 or self.learning_rate <= 0:
-            raise ValueError("epochs, batch size, and learning rate must be positive")
+        check_int("train epochs", self.epochs)
+        check_int("train batch_size", self.batch_size)
+        check_int("train seed", self.seed, low=0)
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"train learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if not (np.isfinite(self.mi_weight) and self.mi_weight >= 0):
+            raise ValueError(f"train mi_weight must be finite and >= 0, got {self.mi_weight!r}")
         for name in ("routing_mode", "eval_mode"):
             if getattr(self, name) not in ROUTING_MODES:
                 raise ValueError(
@@ -79,7 +84,7 @@ def check_labels(labels, n_classes):
         raise ValueError(f"sample at position {i} has label {labels[i]}, not in [0, {n_classes})")
 
 
-def train(model, samples, stats, cfg, log_path=None):
+def train(model, samples, stats, cfg):
     """Minibatch training with sampled soft routing and per-layer MI terms.
 
     Returns (log_rows, rng) where rng is the generator's end-of-training
@@ -125,19 +130,17 @@ def train(model, samples, stats, cfg, log_path=None):
         keys = epoch_parts[0].keys()
         row.update({k: float(np.mean([p[k] for p in epoch_parts])) for k in keys})
         log_rows.append(row)
-    if log_path is not None:
-        write_dict_csv(log_rows, log_path)
     return log_rows, rng
 
 
 def run_training(model_config, train_samples, stats, cfg, out_dir=None):
     """Build, train, and optionally persist a checkpoint + log CSV."""
     model = build_model(model_config, seed=cfg.seed)
-    log_path = Path(out_dir) / "train_log.csv" if out_dir else None
     if out_dir:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-    log_rows, rng = train(model, train_samples, stats, cfg, log_path=log_path)
+    log_rows, rng = train(model, train_samples, stats, cfg)
     if out_dir:
+        write_dict_csv(log_rows, Path(out_dir) / "train_log.csv")
         save_checkpoint(
             Path(out_dir) / "checkpoint.fmck",
             model,

@@ -28,11 +28,7 @@ def verdict(index, name, ok, detail):
 
 def jd_from_matrix(joint):
     joint = np.asarray(joint, dtype=np.float64)
-    return JointDistribution(
-        joint=Tensor(joint),
-        group_priors=joint.sum(axis=1),
-        expert_marginals=Tensor(joint.sum(axis=0)),
-    )
+    return JointDistribution(joint=Tensor(joint), group_priors=joint.sum(axis=1))
 
 
 def final_layer_mi(model, samples, stats):
@@ -222,7 +218,7 @@ def _band_accuracy(model, samples, stats, mode, halfwidth):
 
 
 def test_criterion_6_soft_vs_hard_routing():
-    data_cfg = SynthConfig(boundary_halfwidth=0.2, noise_sigma=0.3, seed=0)
+    data_cfg = SynthConfig(noise_sigma=0.3, seed=0)
     samples, stats = generate(data_cfg)
     train_s, test_s = split(samples, 0.8, seed=0)
     model_cfg = ModelConfig(

@@ -36,7 +36,7 @@ def test_group_fraction_near_threshold():
 
 
 def test_boundary_band_mass():
-    cfg = SynthConfig(n_samples=10_000, boundary_halfwidth=0.1, seed=2)
+    cfg = SynthConfig(n_samples=10_000, seed=2)
     samples, _ = generate(cfg)
     in_band = np.mean([abs(s.attribute - 0.5) < 0.1 for s in samples])
     assert abs(in_band - 0.2) < 0.012
@@ -52,6 +52,12 @@ def test_pixels_in_unit_interval():
     samples, _ = generate(SynthConfig(n_samples=100, seed=4))
     for s in samples:
         assert s.image.min() >= 0.0 and s.image.max() <= 1.0
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, -0.2, float("nan")])
+def test_threshold_outside_the_unit_interval_rejected(threshold):
+    with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\)"):
+        SynthConfig(threshold=threshold)
 
 
 def test_invalid_priors_rejected():
@@ -298,7 +304,6 @@ def synth_configs(draw):
         width=draw(st.integers(1, 9)),
         n_classes=k,
         threshold=threshold,
-        boundary_halfwidth=threshold / 2,
         class_priors=tuple(tuple(np.divide(p, sum(p)).tolist()) for p in priors),
         noise_sigma=draw(st.floats(0.0, 0.5)),
         seed=draw(st.integers(0, 2**32 - 1)),

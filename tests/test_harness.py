@@ -53,6 +53,17 @@ def param_count(model):
     return sum(t.data.size for _, t in model.params.items())
 
 
+def cli_error(argv, capsys):
+    """The one stderr line ``cli_main(argv)`` ends with; checks for argparse's exit code 2."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exited:
+        cli_main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fairmoe: error: ") and err.count("\n") == 1, err
+    return err
+
+
 def test_plain_model_parameter_count():
     cfg = ModelConfig(blocks=SMALL_BLOCKS, moe_flags=(False, False))
     model = build_model(cfg, seed=0)
@@ -135,6 +146,28 @@ def test_non_finite_gradient_raises_before_adam_writes(dataset, monkeypatch):
     with pytest.raises(TrainingDiverged, match=r"gradient in layer1\.expert1\.bias at step 1$"):
         train(model, train_s, stats, TrainConfig(epochs=1, seed=0))
     assert {p: t.data.tobytes() for p, t in model.params.items()} == seen["weights"]
+
+
+def test_full_moe_step_builds_at_most_92_graph_nodes(dataset, monkeypatch):
+    train_s, _, stats = dataset
+    model = build_model(ModelConfig(moe_flags=(True, True, True, True)), seed=0)
+    real_backward, counts = Tensor.backward, []
+
+    def backward(loss):  # count the op nodes (those with parents) reachable from the loss
+        seen, stack, ops = {id(loss)}, [loss], 0
+        while stack:
+            node = stack.pop()
+            ops += bool(node._parents)
+            for p in node._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        counts.append(ops)
+        real_backward(loss)
+
+    monkeypatch.setattr(Tensor, "backward", backward)
+    train(model, train_s[:64], stats, TrainConfig(epochs=1, batch_size=64))
+    assert len(counts) == 1 and counts[0] <= 92, counts
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path, dataset):
@@ -464,26 +497,24 @@ def test_cli_end_to_end(tmp_path, capsys):
         ("ablate", "train", "mi_wieght"),
     ],
 )
-def test_cli_rejects_unknown_config_keys(tmp_path, command, section, key):
+def test_cli_rejects_unknown_config_keys(tmp_path, capsys, command, section, key):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({section: {key: 1}}))
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     if command != "synth-data":
         argv += ["--data", str(tmp_path / "no-data")]
-    with pytest.raises(ValueError, match=f"section '{section}' has unknown key '{key}'"):
-        cli_main(argv)
+    assert re.search(f"section '{section}' has unknown key '{key}'", cli_error(argv, capsys))
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
 @pytest.mark.parametrize("key", ["train_fracton", "ablation_seed"])
-def test_cli_rejects_unknown_top_level_config_keys(tmp_path, command, key):
+def test_cli_rejects_unknown_top_level_config_keys(tmp_path, capsys, command, key):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"train": {"epochs": 1}, key: 0.7}))
     argv = [command, "--config", str(cfg_path), "--data", str(tmp_path / "no-data"),
             "--out", str(tmp_path / "out")]
-    with pytest.raises(ValueError, match=f"config has unknown key '{key}'"):
-        cli_main(argv)
+    assert re.search(f"config has unknown key '{key}'", cli_error(argv, capsys))
     assert not (tmp_path / "out").exists()
 
 
@@ -504,11 +535,58 @@ def test_ablation_rejects_empty_seed_list(dataset, tmp_path, monkeypatch, capsys
     cfg_path.write_text(json.dumps({"model": {"blocks": list(SMALL_BLOCKS),
                                               "moe_flags": [False, False]},
                                     "train": {"epochs": 1}, "ablation_seeds": []}))
-    with pytest.raises(ValueError, match="ablation_seeds"):
-        cli_main(["ablate", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
-                  "--out", str(tmp_path / "out")])
+    assert re.search("ablation_seeds", cli_error(
+        ["ablate", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
+         "--out", str(tmp_path / "out")], capsys))
     assert not (tmp_path / "out").exists()
-    capsys.readouterr()
+
+
+def test_ablation_rejects_a_negative_mi_weight_before_training(tmp_path, monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before rejecting mi_weight")
+
+    monkeypatch.setattr(training, "run_training", no_training)
+    samples, _ = generate(SynthConfig(n_samples=40, seed=3))
+    save(samples, tmp_path / "data")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"model": {"blocks": list(SMALL_BLOCKS),
+                                              "moe_flags": [False, True]},
+                                    "train": {"epochs": 1, "mi_weight": -1},
+                                    "ablation_seeds": [0, 1]}))
+    err = cli_error(["ablate", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "out")], capsys)
+    assert re.search(r"train mi_weight must be finite and >= 0, got -1$", err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["header-only FMDS", "truncated FMCK", "unknown config key"])
+def test_cli_reports_input_errors_in_one_line(tmp_path, capsys, case):
+    ckpt, data_dir, cfg_path = tmp_path / "c.fmck", tmp_path / "data", tmp_path / "config.json"
+    samples, _ = generate(SynthConfig(n_samples=40, seed=3))
+    save(samples[:0], data_dir)
+    ckpt.write_bytes(small_fmck()[:-4] if case == "truncated FMCK" else small_fmck())
+    cfg_path.write_text(json.dumps({"train": {"optimizer": "sgd"}}))
+    argv, message = {
+        "header-only FMDS": (["eval", "--checkpoint", str(ckpt), "--data", str(data_dir)],
+                             "the dataset has no samples"),
+        "truncated FMCK": (["eval", "--checkpoint", str(ckpt), "--data", str(data_dir)],
+                           "truncated in parameter"),
+        "unknown config key": (["train", "--config", str(cfg_path), "--data", str(data_dir)],
+                               "section 'train' has unknown key 'optimizer'"),
+    }[case]
+    assert message in cli_error([*argv, "--out", str(tmp_path / "out")], capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 1.5), ("epochs", 0), ("batch_size", 8.0), ("batch_size", True),
+    ("seed", -3), ("seed", 1.0), ("learning_rate", float("nan")), ("learning_rate", 0.0),
+    ("learning_rate", float("inf")), ("mi_weight", -1.0), ("mi_weight", float("nan")),
+    ("mi_weight", float("inf")),
+])
+def test_train_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=f"train {field} must be "):
+        TrainConfig(**{field: value})
 
 
 def test_train_config_rejects_unknown_modes():
@@ -605,13 +683,11 @@ def test_out_of_range_label_names_sample_and_class_count(tmp_path, capsys):
     raw[label_at : label_at + 2] = (9).to_bytes(2, "little")
     (data_dir / "data.fmds").write_bytes(bytes(raw))
     message = r"sample at position 5 has label 9, not in \[0, 4\)"
-    with pytest.raises(ValueError, match=message):
-        cli_main(["eval", "--checkpoint", ckpt, "--data", str(data_dir),
-                  "--out", str(tmp_path / "eval")])
+    assert re.search(message, cli_error(["eval", "--checkpoint", ckpt, "--data", str(data_dir),
+                                         "--out", str(tmp_path / "eval")], capsys))
     with pytest.raises(ValueError, match=message):
         run_training(cfg, load(data_dir), stats, TrainConfig(epochs=1))
     assert not (tmp_path / "eval").exists()
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -628,8 +704,7 @@ def test_cli_label_check_names_the_file_index(tmp_path, command, capsys):
         "model": {"blocks": list(SMALL_BLOCKS), "moe_flags": [False, True]},
         "train": {"epochs": 1},
     }))
-    with pytest.raises(ValueError, match=r"sample at position 39 has label 9, not in \[0, 4\)"):
-        cli_main([command, "--config", str(cfg_path), "--data", str(data_dir),
-                  "--out", str(tmp_path / "out")])
+    err = cli_error([command, "--config", str(cfg_path), "--data", str(data_dir),
+                     "--out", str(tmp_path / "out")], capsys)
+    assert re.search(r"sample at position 39 has label 9, not in \[0, 4\)", err)
     assert not (tmp_path / "out").exists()
-    capsys.readouterr()

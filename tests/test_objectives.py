@@ -18,11 +18,7 @@ from gradcheck import finite_difference, max_relative_error
 
 def jd_from_matrix(joint):
     joint = np.asarray(joint, dtype=np.float64)
-    return JointDistribution(
-        joint=Tensor(joint),
-        group_priors=joint.sum(axis=1),
-        expert_marginals=Tensor(joint.sum(axis=0)),
-    )
+    return JointDistribution(joint=Tensor(joint), group_priors=joint.sum(axis=1))
 
 
 def entropy(p):

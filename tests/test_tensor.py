@@ -196,6 +196,20 @@ def test_gradients_match_finite_differences(seed):
     assert err < 1e-6
 
 
+@pytest.mark.parametrize(
+    "a_shape, b_shape", [((3, 4), (1, 4)), ((3, 4), ()), ((1, 4), (3, 4))],
+    ids=["b-broadcast-rows", "b-scalar", "a-broadcast-rows"],
+)
+def test_sub_matches_numpy_and_finite_differences(a_shape, b_shape):
+    rng = np.random.default_rng(0)
+    params = ParamSet([("a", Tensor(rng.normal(size=a_shape))),
+                       ("b", Tensor(rng.normal(size=b_shape)))])
+    a, b = params["a"], params["b"]
+    weight = Tensor(rng.normal(size=(3, 4)))
+    assert (a - b).data.tobytes() == (a.data - b.data).tobytes()
+    assert check_params(lambda: ((a - b) * (a - b) * weight).sum(), params) < 1e-6
+
+
 def test_forward_and_gradients_deterministic():
     def run():
         rng = np.random.default_rng(42)
