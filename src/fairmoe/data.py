@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .model import check_int
 from .moe import GroupStats
 
 MAGIC = b"FMDS"
@@ -92,6 +93,11 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_samples", "channels", "height", "width", "n_classes"):
+            check_int(f"synth {name}", getattr(self, name))
+        check_int("synth seed", self.seed, low=0)
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"synth noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         priors = np.asarray(self.class_priors, dtype=np.float64)
         if priors.shape != (N_GROUPS, self.n_classes):
             raise ValueError(

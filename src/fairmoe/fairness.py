@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -117,9 +117,15 @@ def eopp_eodd(conf):
 
 
 def fate(acc_model, acc_baseline, fair_model, fair_baseline):
-    """Relative accuracy gain minus relative fairness-gap change vs a baseline."""
-    if acc_baseline <= 0 or fair_baseline <= 0:
-        raise ValueError("baseline accuracy and fairness values must be positive")
+    """Relative accuracy gain minus relative fairness-gap change vs a baseline.
+
+    ``None`` when the baseline's gap is 0: a perfectly fair baseline leaves
+    the relative gap change, and so FATE, undefined.
+    """
+    if acc_baseline <= 0:
+        raise ValueError(f"baseline accuracy must be positive, got {acc_baseline!r}")
+    if fair_baseline <= 0:
+        return None
     return (acc_model - acc_baseline) / acc_baseline - (fair_model - fair_baseline) / fair_baseline
 
 
@@ -144,7 +150,7 @@ def group_prf1(conf):
 
 @dataclass
 class FairnessReport:
-    """Accuracy and fairness summary for one evaluated model."""
+    """Accuracy and fairness summary for one evaluated model; its fields are report.json's keys."""
 
     per_group: dict
     avg: dict
@@ -152,50 +158,20 @@ class FairnessReport:
     eopp0: float
     eopp1: float
     eodd: float
-    baseline_name: str | None = None
-    fate_scores: dict = field(default_factory=dict)
+    baseline: str | None = None
+    fate: dict = field(default_factory=dict)
 
     def to_json(self):
-        return json.dumps(
-            {
-                "per_group": {str(g): v for g, v in self.per_group.items()},
-                "avg": self.avg,
-                "diff": self.diff,
-                "eopp0": self.eopp0,
-                "eopp1": self.eopp1,
-                "eodd": self.eodd,
-                "baseline": self.baseline_name,
-                "fate": self.fate_scores,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def build_report(log, n_classes, n_groups, baseline=None, baseline_name=None):
     """Assemble a FairnessReport; FATE terms use avg F1 as the accuracy side."""
     conf = confusion(log, n_classes, n_groups)
-    acc = group_prf1(conf)
     eopp0, eopp1, eodd = eopp_eodd(conf)
-    report = FairnessReport(
-        per_group=acc["per_group"],
-        avg=acc["avg"],
-        diff=acc.get("diff", {}),
-        eopp0=eopp0,
-        eopp1=eopp1,
-        eodd=eodd,
-        baseline_name=baseline_name,
-    )
+    report = FairnessReport(**group_prf1(conf), eopp0=eopp0, eopp1=eopp1, eodd=eodd,
+                            baseline=baseline_name)
     if baseline is not None:
-        def score(fair_model, fair_baseline):
-            # FATE is undefined against an already perfectly fair baseline
-            if fair_baseline <= 0:
-                return None
-            return fate(report.avg["f1"], baseline.avg["f1"], fair_model, fair_baseline)
-
-        report.fate_scores = {
-            "eopp0": score(eopp0, baseline.eopp0),
-            "eopp1": score(eopp1, baseline.eopp1),
-            "eodd": score(eodd, baseline.eodd),
-        }
+        report.fate = {k: fate(report.avg["f1"], baseline.avg["f1"], getattr(report, k),
+                               getattr(baseline, k)) for k in ("eopp0", "eopp1", "eodd")}
     return report

@@ -44,6 +44,9 @@ class ModelConfig:
 
     def __post_init__(self):
         self.blocks = tuple(dict(b) for b in self.blocks)
+        for flag in self.moe_flags:
+            if not isinstance(flag, (bool, np.bool_)):
+                raise ValueError(f"model moe_flags must be bools, got {flag!r}")
         self.moe_flags = tuple(bool(f) for f in self.moe_flags)
         for name in ("m", "router_width", "n_classes", "in_channels"):
             check_int(f"model {name}", getattr(self, name))

@@ -109,8 +109,6 @@ class Tensor:
 
         return Tensor._node(data, (self, other), bw)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         other = Tensor._lift(other)
         data = self.data * other.data
@@ -120,8 +118,6 @@ class Tensor:
             _accum(other, _unbroadcast(g * self.data, other.data.shape))
 
         return Tensor._node(data, (self, other), bw)
-
-    __rmul__ = __mul__
 
     def __sub__(self, other):
         other = Tensor._lift(other)
@@ -144,14 +140,6 @@ class Tensor:
         return Tensor._node(data, (self, other), bw)
 
     # ---- shape ops ------------------------------------------------------
-
-    def reshape(self, *shape):
-        data = self.data.reshape(*shape)
-
-        def bw(g):
-            _accum(self, g.reshape(self.data.shape))
-
-        return Tensor._node(data, (self,), bw)
 
     def sum(self, axis=None, keepdims=False):
         data = self.data.sum(axis=axis, keepdims=keepdims)

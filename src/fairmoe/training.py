@@ -228,7 +228,7 @@ def ablate_moe_layers(base_config, train_samples, test_samples, stats, cfg, seed
     """One row per MoE-layer count, deeper layers converted first.
 
     Every row shares the same data and seed list; metrics are averaged
-    over seeds and FATE is scored against the zero-MoE row.
+    over seeds and FATE is scored against the zero-MoE row, ``None`` if its eodd is 0.
     """
     if len(seeds) == 0:
         raise ValueError("ablation_seeds is empty: the ablation needs at least one seed")
@@ -238,16 +238,14 @@ def ablate_moe_layers(base_config, train_samples, test_samples, stats, cfg, seed
         config = replace(base_config, moe_flags=moe_flags_for_count(n_blocks, count))
         reports = []
         for seed in seeds:
-            run_cfg = replace(cfg, seed=seed, mi_weight=0.0 if count == 0 else cfg.mi_weight)
-            model, _ = run_training(config, train_samples, stats, run_cfg)
+            model, _ = run_training(config, train_samples, stats, replace(cfg, seed=seed))
             _, report, _ = evaluate(model, test_samples, stats, mode=cfg.eval_mode)
             reports.append(report)
         row = {"moe_layers": count, "avg_f1": float(np.mean([r.avg["f1"] for r in reports]))}
         row.update({k: float(np.mean([getattr(r, k) for r in reports]))
                     for k in ("eopp0", "eopp1", "eodd")})
         base = table[0] if table else row
-        gap, base_gap = max(row["eodd"], 1e-12), max(base["eodd"], 1e-12)
-        row["fate_eodd"] = fate(row["avg_f1"], base["avg_f1"], gap, base_gap) if table else 0.0
+        row["fate_eodd"] = fate(row["avg_f1"], base["avg_f1"], row["eodd"], base["eodd"])
         table.append(row)
     return table
 

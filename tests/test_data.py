@@ -60,6 +60,19 @@ def test_threshold_outside_the_unit_interval_rejected(threshold):
         SynthConfig(threshold=threshold)
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    ("n_samples", 2.5, "an int >= 1"), ("n_samples", 0, "an int >= 1"),
+    ("channels", 0, "an int >= 1"), ("height", 1.5, "an int >= 1"),
+    ("width", True, "an int >= 1"), ("n_classes", 4.0, "an int >= 1"),
+    ("seed", -1, "an int >= 0"), ("seed", 0.5, "an int >= 0"),
+    ("noise_sigma", -1.0, "finite and >= 0"), ("noise_sigma", float("nan"), "finite and >= 0"),
+    ("noise_sigma", float("inf"), "finite and >= 0"),
+])
+def test_synth_config_rejects_bad_values(field, value, rule):
+    with pytest.raises(ValueError, match=f"synth {field} must be {rule}, got {value!r}"):
+        SynthConfig(**{field: value})
+
+
 def test_invalid_priors_rejected():
     with pytest.raises(ValueError, match="distribution"):
         SynthConfig(class_priors=((0.5, 0.5, 0.5, 0.5), (0.25, 0.25, 0.25, 0.25)))

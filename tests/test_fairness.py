@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -167,6 +168,23 @@ def test_fate_rejects_zero_baselines():
         fate(0.5, 0.0, 0.1, 0.2)
 
 
+def test_fate_against_a_perfectly_fair_baseline_is_none():
+    assert fate(0.60, 0.58, 0.05, 0.0) is None
+    assert fate(0.60, 0.58, 0.0, 0.0) is None
+
+
+def test_report_json_writes_each_field_under_its_own_name():
+    log = make_log([(i, i % 2, (i + i // 7) % 2, i // 20) for i in range(40)])
+    fair = make_log([(i, i % 2, i % 2, i // 20) for i in range(40)])
+    base = build_report(fair, 2, 2)
+    assert base.eodd == 0.0
+    rep = build_report(log, 2, 2, baseline=base, baseline_name="fair")
+    doc = json.loads(rep.to_json())
+    assert set(doc) == set(vars(rep)) and doc["baseline"] == "fair"
+    assert doc["per_group"].keys() == {"0", "1"}
+    assert doc["fate"] == {"eopp0": None, "eopp1": None, "eodd": None}
+
+
 def test_group_prf1_perfect_classifier():
     log = make_log([(i, i % 3, i % 3, i % 2) for i in range(30)])
     out = group_prf1(confusion(log, 3, 2))
@@ -226,7 +244,7 @@ def test_report_fate_against_itself_is_zero():
     log = make_log([(i, i % 2, (i + i // 7) % 2, i // 20) for i in range(40)])
     base = build_report(log, 2, 2)
     rep = build_report(log, 2, 2, baseline=base, baseline_name="self")
-    assert all(v == 0.0 for v in rep.fate_scores.values())
+    assert all(v == 0.0 for v in rep.fate.values())
 
 
 def test_prediction_log_csv_roundtrip(tmp_path):

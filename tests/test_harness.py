@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from fairmoe import cli, training
 from fairmoe.cli import main as cli_main
 from fairmoe.data import SynthConfig, generate, load, save, split
+from fairmoe.fairness import FairnessReport
 from fairmoe.moe import GroupStats
 from fairmoe.model import (
     BLOCK_KEYS,
@@ -91,6 +92,14 @@ def test_model_config_validation():
         ModelConfig(blocks=(), moe_flags=())
     with pytest.raises(ValueError, match="flag"):
         ModelConfig(moe_flags=(True,))
+
+
+@pytest.mark.parametrize("flags", [("false",) * 4, "FFFF", (0, 0, 0, 1)])
+def test_model_config_moe_flags_must_be_bools(flags):
+    with pytest.raises(ValueError, match=r"model moe_flags must be bools, got ('false'|'F'|0)$"):
+        ModelConfig(moe_flags=flags)
+    numpy_flags = ModelConfig(moe_flags=np.array([False, False, True, True]))
+    assert numpy_flags.moe_flags == (False, False, True, True)
 
 
 def test_moe_flags_for_count_fills_from_final_layer():
@@ -541,6 +550,26 @@ def test_ablation_rejects_empty_seed_list(dataset, tmp_path, monkeypatch, capsys
     assert not (tmp_path / "out").exists()
 
 
+def test_ablation_fate_against_a_perfectly_fair_plain_row_is_none(dataset, monkeypatch):
+    train_s, test_s, stats = dataset
+
+    def fake_training(config, *args, **kwargs):
+        return config, []
+
+    def fake_evaluate(config, *args, **kwargs):
+        moe = sum(config.moe_flags)
+        report = FairnessReport(per_group={}, avg={"f1": 0.5 + 0.1 * moe}, diff={},
+                                eopp0=0.1, eopp1=0.1, eodd=0.05 * moe)
+        return None, report, []
+
+    monkeypatch.setattr(training, "run_training", fake_training)
+    monkeypatch.setattr(training, "evaluate", fake_evaluate)
+    cfg = ModelConfig(blocks=SMALL_BLOCKS, moe_flags=(False, False))
+    table = ablate_moe_layers(cfg, train_s, test_s, stats, TrainConfig(epochs=1), seeds=(0, 1))
+    assert [row["eodd"] for row in table] == [0.0, 0.05, 0.1]
+    assert [row["fate_eodd"] for row in table] == [None, None, None]
+
+
 def test_ablation_rejects_a_negative_mi_weight_before_training(tmp_path, monkeypatch, capsys):
     def no_training(*args, **kwargs):
         raise AssertionError("trained before rejecting mi_weight")
@@ -576,6 +605,33 @@ def test_cli_reports_input_errors_in_one_line(tmp_path, capsys, case):
     }[case]
     assert message in cli_error([*argv, "--out", str(tmp_path / "out")], capsys)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"train_fraction": "0.8"}, "config train_fraction must be a number, got '0.8'"),
+    ({"split_seed": "0"}, "config split_seed must be an int >= 0, got '0'"),
+    ({"ablation_seeds": 3}, "config ablation_seeds must be a list, got 3"),
+], ids=["train_fraction", "split_seed", "ablation_seeds"])
+def test_cli_rejects_bad_top_level_config_values(tmp_path, capsys, doc, message):
+    samples, _ = generate(SynthConfig(n_samples=40, seed=3))
+    save(samples, tmp_path / "data")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"model": {"blocks": list(SMALL_BLOCKS),
+                                              "moe_flags": [False, True]},
+                                    "train": {"epochs": 1}, **doc}))
+    err = cli_error(["ablate", "--config", str(cfg_path), "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "out")], capsys)
+    assert err == f"fairmoe: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_a_bad_synth_config_in_one_line(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"synth": {"n_samples": 2.5}}))
+    err = cli_error(["synth-data", "--config", str(cfg_path), "--out", str(tmp_path / "d")],
+                    capsys)
+    assert err == "fairmoe: error: synth n_samples must be an int >= 1, got 2.5\n"
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("field, value", [

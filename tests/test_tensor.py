@@ -1,8 +1,12 @@
 import gc
+import operator
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fairmoe.tensor import (
     ParamSet,
@@ -196,18 +200,54 @@ def test_gradients_match_finite_differences(seed):
     assert err < 1e-6
 
 
+BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _check_binary_op(op, a_shape, b_shape, result_shape, seed):
+    fn = BINARY_OPS[op]
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=b_shape)
+    if op == "/":
+        b = np.sign(b) * (0.5 + np.abs(b))  # denominators at least 0.5 away from 0
+    params = ParamSet([("a", Tensor(rng.normal(size=a_shape))), ("b", Tensor(b))])
+    a, b = params["a"], params["b"]
+    weight = Tensor(rng.normal(size=result_shape))
+    assert fn(a, b).data.tobytes() == fn(a.data, b.data).tobytes()
+    assert check_params(lambda: (fn(a, b) * fn(a, b) * weight).sum(), params) < 1e-6
+
+
 @pytest.mark.parametrize(
     "a_shape, b_shape", [((3, 4), (1, 4)), ((3, 4), ()), ((1, 4), (3, 4))],
     ids=["b-broadcast-rows", "b-scalar", "a-broadcast-rows"],
 )
 def test_sub_matches_numpy_and_finite_differences(a_shape, b_shape):
-    rng = np.random.default_rng(0)
-    params = ParamSet([("a", Tensor(rng.normal(size=a_shape))),
-                       ("b", Tensor(rng.normal(size=b_shape)))])
-    a, b = params["a"], params["b"]
-    weight = Tensor(rng.normal(size=(3, 4)))
-    assert (a - b).data.tobytes() == (a.data - b.data).tobytes()
-    assert check_params(lambda: ((a - b) * (a - b) * weight).sum(), params) < 1e-6
+    _check_binary_op("-", a_shape, b_shape, (3, 4), seed=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(op=st.sampled_from(sorted(BINARY_OPS)), seed=st.integers(0, 2**32 - 1),
+       shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3, max_side=3))
+def test_broadcast_ops_match_numpy_and_finite_differences(op, shapes, seed):
+    _check_binary_op(op, *shapes.input_shapes, shapes.result_shape, seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=hnp.array_shapes(min_dims=1, max_dims=3, max_side=3), keepdims=st.booleans(),
+       data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_sum_over_an_axis_matches_numpy_and_finite_differences(shape, keepdims, data, seed):
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1), label="axis")
+    rng = np.random.default_rng(seed)
+    params = ParamSet([("x", Tensor(rng.normal(size=shape)))])
+    x = params["x"]
+    total = x.sum(axis=axis, keepdims=keepdims)
+    assert total.data.tobytes() == x.data.sum(axis=axis, keepdims=keepdims).tobytes()
+    weight = Tensor(rng.normal(size=total.shape))
+
+    def loss():
+        total = x.sum(axis=axis, keepdims=keepdims)
+        return (total * total * weight).sum()
+
+    assert check_params(loss, params) < 1e-6
 
 
 def test_forward_and_gradients_deterministic():
