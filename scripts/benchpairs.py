@@ -54,16 +54,29 @@ def benchmark_differences(a, b):
 
 
 def run_once(tree, command, workload, seed, seconds):
-    """The result dict of one untraced run; a run that prints no result counts as incorrect."""
+    """The result dict of one untraced run; a run that prints no result counts as incorrect.
+
+    For an incorrect run, the ``failed_checks`` of the ``{"info": ...}`` line
+    before the result go to stderr.
+    """
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
             "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.splitlines()
     try:
-        return json.loads(done.stdout.splitlines()[-1])
+        result = json.loads(lines[-1])
     except (IndexError, ValueError):
         print(f"{tree}: {workload} seed {seed} printed no result:\n{done.stderr[-2000:]}",
               file=sys.stderr)
         return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+    if not result["correct"]:
+        try:
+            failed = json.loads(lines[-2])["info"]["failed_checks"]
+        except (IndexError, ValueError, KeyError, TypeError):
+            failed = "no info line"
+        print(f"{tree}: {workload} seed {seed} incorrect, failed checks: {json.dumps(failed)}",
+              file=sys.stderr)
+    return result
 
 
 def summarize(runs, end_to_end):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import data as data_mod
 from .data import SynthConfig
-from .model import ModelConfig, check_int, load_checkpoint
+from .model import ModelConfig, check_int, is_real, load_checkpoint
 from .moe import GroupStats
 from .training import (
     TrainConfig,
@@ -45,7 +45,7 @@ def _read_config(path):
         doc = json.load(f)
     _reject_unknown(doc, CONFIG_KEYS, "config")
     frac = doc.get("train_fraction", 0.8)
-    if isinstance(frac, bool) or not isinstance(frac, (int, float)):
+    if not is_real(frac):
         raise ValueError(f"config train_fraction must be a number, got {frac!r}")
     check_int("config split_seed", doc.get("split_seed", 0), low=0)
     if not isinstance(doc.get("ablation_seeds", []), list):

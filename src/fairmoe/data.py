@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import check_int
+from .model import check_int, is_real
 from .moe import GroupStats
 
 MAGIC = b"FMDS"
@@ -96,16 +96,19 @@ class SynthConfig:
         for name in ("n_samples", "channels", "height", "width", "n_classes"):
             check_int(f"synth {name}", getattr(self, name))
         check_int("synth seed", self.seed, low=0)
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"synth noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
-        priors = np.asarray(self.class_priors, dtype=np.float64)
+        sigma = self.noise_sigma
+        if not (is_real(sigma) and np.isfinite(sigma) and sigma >= 0):
+            raise ValueError(f"synth noise_sigma must be finite and >= 0, got {sigma!r}")
+        priors = np.asarray(self.class_priors)
+        if priors.dtype.kind not in "iuf":  # strings, bools and None are not priors
+            raise ValueError(f"class_priors must be numbers, got {self.class_priors!r}")
         if priors.shape != (N_GROUPS, self.n_classes):
             raise ValueError(
                 f"class_priors must be {N_GROUPS} x {self.n_classes}, got shape {priors.shape}"
             )
         if np.any(priors < 0) or np.max(np.abs(priors.sum(axis=1) - 1.0)) > 1e-9:
             raise ValueError("each group's class priors must be a distribution")
-        if not 0.0 < self.threshold < 1.0:
+        if not (is_real(self.threshold) and 0.0 < self.threshold < 1.0):
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold!r}")
 
 

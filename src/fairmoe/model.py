@@ -9,6 +9,7 @@ step counter, RNG state, and every parameter array in declaration order.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from collections import namedtuple
 from dataclasses import asdict, dataclass, fields
@@ -44,6 +45,12 @@ class ModelConfig:
 
     def __post_init__(self):
         self.blocks = tuple(dict(b) for b in self.blocks)
+        try:
+            self.moe_flags = tuple(self.moe_flags)
+        except TypeError:
+            raise ValueError(
+                f"model moe_flags must be a sequence of bools, got {self.moe_flags!r}"
+            ) from None
         for flag in self.moe_flags:
             if not isinstance(flag, (bool, np.bool_)):
                 raise ValueError(f"model moe_flags must be bools, got {flag!r}")
@@ -80,6 +87,11 @@ def check_int(what, value, low=1):
     """``value`` is an int (a bool is not) of at least ``low``; the message names ``what``."""
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise ValueError(f"{what} must be an int >= {low}, got {value!r}")
+
+
+def is_real(value):
+    """``value`` is a real number (a bool is not, ``np.float64`` is); test it before ``isfinite``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
 def _check_block(i, block):

@@ -4,7 +4,9 @@ Every op builds a node in a DAG; ``Tensor.backward()`` runs a topological
 sweep and accumulates gradients into leaf tensors that have
 ``requires_grad`` set.  Gradients accumulate across backward calls until
 ``ParamSet.zero_grad()`` resets them, so multi-term losses compose by
-plain addition.
+plain addition.  An interior node adopts the first gradient array it
+receives, with no zero-fill, and sums later ones into a new array, never
+in place: one array can be the gradient of several nodes.
 """
 
 from __future__ import annotations
@@ -87,12 +89,14 @@ class Tensor:
             else:
                 stack.pop()
                 topo.append(node)
-        # Interior grads are scratch space for this sweep; leaves accumulate.
+        # Interior grads are scratch space for this sweep: each adopts its first
+        # gradient array in _accum and is never written in place.  Leaves accumulate.
         for node in topo:
-            if node._parents or node.grad is None:
+            if node._parents:
+                node.grad = None
+            elif node.grad is None:
                 node.grad = np.zeros_like(node.data)
-        if self.requires_grad:
-            self.grad += 1.0
+        _accum(self, np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
@@ -187,9 +191,16 @@ class Tensor:
 
 
 def _accum(node, g):
-    # backward() has given every requires-grad node it reaches a grad array
-    if node.requires_grad:
+    # backward() has given every requires-grad leaf it reaches a grad array;
+    # g may also be another node's grad, so an interior sum makes a new array
+    if not node.requires_grad:
+        return
+    if not node._parents:
         node.grad += g
+    elif node.grad is None:
+        node.grad = g
+    else:
+        node.grad = node.grad + g
 
 
 def _unbroadcast(g, shape):
@@ -245,7 +256,8 @@ def expert_conv2d(x, experts, chosen, stride=1, padding=0):
     """``conv2d`` where row i of x runs ``experts[chosen[i]]``, a (kernel, bias) pair.
 
     One node: x is unfolded once; each expert contracts only its own rows.
-    ``chosen=None`` runs one expert on all rows.
+    ``chosen=None`` runs one expert on all rows; as a 1x1, stride-1, unpadded
+    conv it skips the unfold and runs the same GEMMs on x itself.
     """
     if not experts:
         raise ValueError("expert_conv2d needs at least one expert")
@@ -278,7 +290,13 @@ def expert_conv2d(x, experts, chosen, stride=1, padding=0):
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    if chosen is None and kh == kw == stride == 1 and padding == 0:
+        return _pointwise_conv(x, kernel, bias)
+    if padding:
+        xp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=np.float64)
+        xp[:, :, padding : padding + h, padding : padding + w] = x.data
+    else:
+        xp = x.data
 
     def unfold(rows):  # contiguous (nk, cin, kh, kw, oh, ow), the GEMM's operand
         win = sliding_window_view(rows, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
@@ -319,6 +337,34 @@ def expert_conv2d(x, experts, chosen, stride=1, padding=0):
         _accum(x, gxp[:, :, padding : padding + h, padding : padding + w])
 
     return Tensor._node(data, (x, *(t for _, k, b, _ in runs for t in (k, b))), bw)
+
+
+def _pointwise_conv(x, kernel, bias):
+    """A 1x1, stride-1, unpadded conv as the same three GEMMs tensordot runs on the unfold.
+
+    Each operand is built by tensordot's own transpose-and-reshape, which
+    copies or views as it does on the unfold, and multiplied by ``np.dot``;
+    a contiguous copy where tensordot keeps a view, or ``@``, can take
+    another BLAS path and give other bits.
+    """
+    n, cin, h, w = x.data.shape
+    cout = kernel.data.shape[0]
+    xd = np.ascontiguousarray(x.data)  # the unfold's strides, as a 1x1 window leaves them
+    k2 = kernel.data.reshape(cout, cin)
+    y = np.dot(k2, xd.transpose(1, 0, 2, 3).reshape(cin, n * h * w))
+    data = y.reshape(cout, n, h, w).transpose(1, 0, 2, 3) + bias.data[None, :, None, None]
+
+    def bw(g):
+        gk = np.ascontiguousarray(g.transpose(1, 0, 2, 3))  # (cout, n, h, w)
+        _accum(bias, gk.sum(axis=(1, 2, 3)))
+        gk = gk.reshape(cout, n * h * w)
+        xn = xd.transpose(0, 2, 3, 1).reshape(n * h * w, cin)
+        _accum(kernel, np.dot(gk, xn).reshape(kernel.data.shape))
+        if x.requires_grad:
+            kt = kernel.data.transpose(1, 2, 3, 0).reshape(cin, cout)
+            _accum(x, np.dot(kt, gk).reshape(cin, n, h, w).transpose(1, 0, 2, 3))
+
+    return Tensor._node(data, (x, kernel, bias), bw)
 
 
 def global_avg_pool(x):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .fairness import PredictionLog, build_report, fate
-from .model import build_model, check_int, save_checkpoint
+from .model import build_model, check_int, is_real, save_checkpoint
 from .moe import ROUTING_MODES
 from .objectives import LossConfig, estimate_joint, total_loss
 from .tensor import Tensor, no_grad
@@ -36,9 +36,10 @@ class TrainConfig:
         check_int("train epochs", self.epochs)
         check_int("train batch_size", self.batch_size)
         check_int("train seed", self.seed, low=0)
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"train learning_rate must be finite and > 0, got {self.learning_rate!r}")
-        if not (np.isfinite(self.mi_weight) and self.mi_weight >= 0):
+        lr, mi = self.learning_rate, self.mi_weight
+        if not (is_real(lr) and np.isfinite(lr) and lr > 0):
+            raise ValueError(f"train learning_rate must be finite and > 0, got {lr!r}")
+        if not (is_real(mi) and np.isfinite(mi) and mi >= 0):
             raise ValueError(f"train mi_weight must be finite and >= 0, got {self.mi_weight!r}")
         for name in ("routing_mode", "eval_mode"):
             if getattr(self, name) not in ROUTING_MODES:

@@ -1,5 +1,6 @@
 """scripts/benchpairs.py's judgement of paired runs, on hand-made results; no benchmark runs."""
 
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -76,3 +77,14 @@ def test_benchmark_differences_names_changed_files(tmp_path):
     (b / "perfbench" / "run.py").write_text("changed")
     (b / "BENCHMARK.json").write_text("{}")
     assert benchpairs.benchmark_differences(a, b) == ["BENCHMARK.json", "perfbench/run.py"]
+
+
+def test_an_incorrect_run_reports_its_failed_checks(tmp_path, capsys):
+    info = {"info": {"failed_checks": ["mutual information: 0.5 vs 0.25"]}}
+    result = {"correct": False, "attempted": 3, "failed": 0, "metrics": {}}
+    code = f"print({json.dumps(json.dumps(info))}); print({json.dumps(json.dumps(result))})"
+    got = benchpairs.run_once(tmp_path, [sys.executable, "-c", code], "train_moe", 7, 1)
+    assert got == result
+    err = capsys.readouterr().err
+    assert err == (f"{tmp_path}: train_moe seed 7 incorrect, failed checks: "
+                   '["mutual information: 0.5 vs 0.25"]\n')

@@ -645,6 +645,37 @@ def test_train_config_rejects_bad_values(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: SynthConfig(noise_sigma="0.1"), "synth noise_sigma must be finite and >= 0, got '0.1'"),
+    (lambda: SynthConfig(threshold="0.5"), "threshold must lie in (0, 1), got '0.5'"),
+    (lambda: SynthConfig(class_priors=[["0.5", "0.5"]] * 2, n_classes=2),
+     "class_priors must be numbers, got [['0.5', '0.5'], ['0.5', '0.5']]"),
+    (lambda: TrainConfig(learning_rate="0.01"),
+     "train learning_rate must be finite and > 0, got '0.01'"),
+    (lambda: TrainConfig(learning_rate=True), "train learning_rate must be finite and > 0, got True"),
+    (lambda: TrainConfig(mi_weight="0"), "train mi_weight must be finite and >= 0, got '0'"),
+    (lambda: ModelConfig(moe_flags=True), "model moe_flags must be a sequence of bools, got True"),
+], ids=["noise_sigma", "threshold", "class_priors", "learning_rate-str", "learning_rate-bool", "mi_weight", "moe_flags"])
+def test_config_values_of_the_wrong_type_are_value_errors(make, message):
+    with pytest.raises(ValueError) as raised:
+        make()
+    assert str(raised.value) == message
+
+
+def test_numpy_floats_pass_the_number_checks():
+    cfg = TrainConfig(learning_rate=np.float64(0.01), mi_weight=np.float64(0.0))
+    assert cfg.learning_rate == 0.01
+    assert SynthConfig(noise_sigma=np.float64(0.2), threshold=np.float64(0.4)).threshold == 0.4
+
+
+def test_cli_rejects_a_string_noise_sigma_in_one_line(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"synth": {"noise_sigma": "0.1"}}))
+    err = cli_error(["synth-data", "--config", str(cfg_path), "--out", str(tmp_path / "d")],
+                    capsys)
+    assert err == "fairmoe: error: synth noise_sigma must be finite and >= 0, got '0.1'\n"
+
+
 def test_train_config_rejects_unknown_modes():
     with pytest.raises(ValueError, match="routing_mode 'mix'.*sample"):
         TrainConfig(routing_mode="mix")

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -289,6 +289,57 @@ def test_backward_graph_freed_without_cyclic_gc():
     np.testing.assert_array_equal(w.grad, np.full((3, 4), 2.0))
 
 
+def test_interior_node_of_a_diamond_gets_both_contributions():
+    x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+    a = x * Tensor(3.0)  # interior, used by a*a and by the outer +
+    (a * a + a).sum().backward()
+    np.testing.assert_array_equal(a.grad, 2 * a.data + 1)
+    np.testing.assert_array_equal(x.grad, 3 * (2 * a.data + 1))
+
+
+def test_nodes_that_receive_one_gradient_array_match_finite_differences():
+    # t + t hands t one array twice; u + v hands u and v the same array, and
+    # u * v adds a second contribution to each: an in-place sum corrupts the other
+    rng = np.random.default_rng(3)
+    params = ParamSet([("x", Tensor(rng.normal(size=(2, 3)))), ("w", Tensor(rng.normal(size=3)))])
+    x, w = params["x"], params["w"]
+
+    def loss():
+        t, u, v = x * w, x * x, x + w
+        return ((t + t) * (u + v)).sum() + (u * v).sum()
+
+    assert check_params(loss, params) < 1e-6
+
+
+def test_two_backward_calls_give_twice_one_calls_gradients():
+    rng = np.random.default_rng(4)
+    params = ParamSet([("x", Tensor(rng.normal(size=(2, 3)))), ("w", Tensor(rng.normal(size=3)))])
+    x, w = params["x"], params["w"]
+    a = (x * w).relu()  # each leaf gets one contribution a call, so two sum exactly
+    loss = (a * a + a).sum()
+    loss.backward()
+    once = params.grad.copy()
+    params.zero_grad()
+    loss.backward()
+    loss.backward()
+    np.testing.assert_array_equal(params.grad, 2 * once)
+
+
+def test_adopted_interior_gradients_freed_with_the_graph():
+    w = Tensor(np.ones((3, 4)), requires_grad=True)
+    gc.disable()
+    try:
+        a = w * Tensor(2.0)
+        loss = (a * a + a).sum()
+        loss.backward()
+        alive = [weakref.ref(a.data), weakref.ref(a.grad)]
+        del a, loss
+        assert [ref() for ref in alive] == [None, None]
+    finally:
+        gc.enable()
+    np.testing.assert_array_equal(w.grad, np.full((3, 4), 10.0))
+
+
 def _experts(rng, m, cout=3, cin=2, k=3, **extra_shapes):
     """One ParamSet of m experts' kernels and biases, then one leaf per extra shape, drawn in order."""
     pairs = []
@@ -360,3 +411,47 @@ def test_expert_conv2d_rejects_bad_input():
     for odd in ((Tensor(np.zeros((3, 2, 1, 1))), bias), (kernel, Tensor(np.zeros(4)))):
         with pytest.raises(ShapeError, match="every expert needs kernel"):
             expert_conv2d(x, [experts[0], odd], np.array([0, 1, 0, 1]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 4), cin=st.integers(1, 5), cout=st.integers(1, 5), h=st.integers(1, 5),
+       w=st.integers(1, 5), x_grad=st.booleans(), x_transposed=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+# tensordot's reshapes keep views here, and a GEMM on a view can give other bits:
+@example(n=1, cin=2, cout=1, h=1, w=4, x_grad=False, x_transposed=False, seed=0)  # kernel gradient
+@example(n=3, cin=2, cout=1, h=1, w=1, x_grad=False, x_transposed=False, seed=0)  # forward
+def test_1x1_conv_equals_the_unfolded_dispatch_path(n, cin, cout, h, w, x_grad, x_transposed, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=shape) for shape in ((n, cin, h, w), (cout, cin, 1, 1), (cout,))]
+    if x_transposed:  # (cin, n)-major memory, as a conv output's relu leaves it
+        arrays[0] = np.ascontiguousarray(arrays[0].transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    weight = Tensor(rng.normal(size=(n, cout, h, w)))
+
+    def run(chosen):  # chosen=None takes the 1x1 branch; a chosen row per sample unfolds x
+        x, kernel, bias = (Tensor(a.copy(order="K"), requires_grad=r)
+                           for a, r in zip(arrays, (x_grad, True, True)))
+        out = expert_conv2d(x, [(kernel, bias)], chosen)
+        (out * weight).sum().backward()
+        return out.data, x.grad, kernel.grad, bias.grad
+
+    out, *grads = run(None)
+    ref, *ref_grads = run(np.zeros(n, dtype=int))
+    np.testing.assert_array_equal(out, ref)
+    assert out.transpose(1, 0, 2, 3).flags.c_contiguous  # (cout, n)-major, as the GEMM leaves it
+    assert (grads[0] is None) == (not x_grad)
+    for g, ref_g in zip(grads, ref_grads):
+        np.testing.assert_array_equal(g, ref_g)
+
+
+@pytest.mark.parametrize("k, padding", [(1, 0), (3, 1)], ids=["1x1", "3x3-padded"])
+def test_conv2d_gradients_match_finite_differences(k, padding):
+    rng = np.random.default_rng(5)
+    params, [(kernel, bias)] = _experts(rng, 1, k=k, x=(3, 2, 4, 5))
+    x = params["x"]
+    weight = Tensor(rng.normal(size=(3, 3, 4 + 2 * padding - k + 1, 5 + 2 * padding - k + 1)))
+
+    def loss():
+        out = conv2d(x * x, kernel, bias, padding=padding)  # x * x: the conv's input is interior
+        return (out * out * weight).sum()
+
+    assert check_params(loss, params) < 1e-6
